@@ -41,7 +41,6 @@ from repro.collectives.sharding import (
 from repro.collectives.schedules import (
     build_activation_schedule,
     build_recursive_doubling_allreduce_schedule,
-    build_binomial_broadcast_schedule,
 )
 from repro.collectives.partial import (
     PartialAllreduce,
@@ -75,7 +74,6 @@ __all__ = [
     "shard_bounds",
     "build_activation_schedule",
     "build_recursive_doubling_allreduce_schedule",
-    "build_binomial_broadcast_schedule",
     "PartialAllreduce",
     "PartialAllreduceResult",
     "PartialMode",

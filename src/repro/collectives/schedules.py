@@ -7,7 +7,6 @@ objects described in Section 4 of the paper:
   dissemination pattern equivalent to the union of ``P`` binomial trees,
   one rooted at every rank, so that *any* rank can be the initiator using
   the same schedule;
-* a **binomial broadcast** rooted at a fixed rank;
 * a **recursive-doubling allreduce**;
 * a complete **solo allreduce** (activation + allreduce), the schedule of
   Fig. 6.
@@ -29,8 +28,6 @@ import numpy as np
 from repro.comm import tags
 from repro.comm.reduce_ops import ReduceOp, get_op
 from repro.collectives.topology import (
-    binomial_tree_children,
-    binomial_tree_parent,
     is_power_of_two,
     tree_depth,
 )
@@ -128,37 +125,6 @@ def build_activation_schedule(
         receives=recv_names,
         sends=send_names,
     )
-
-
-def build_binomial_broadcast_schedule(
-    rank: int,
-    size: int,
-    root: int,
-    tag: int,
-    buffer: str = "bcast",
-    name: Optional[str] = None,
-) -> Schedule:
-    """Build a binomial-tree broadcast schedule rooted at ``root``.
-
-    The root's send operations depend on a trigger op named
-    :data:`INTERNAL_ACTIVATION`; non-root ranks forward after their
-    receive completes.  The final NOP :data:`COMPLETED` fires once the
-    rank holds the broadcast value in ``buffer``.
-    """
-    sched = Schedule(name or f"binomial-bcast[rank={rank},root={root}]")
-    children = binomial_tree_children(rank, size, root)
-    if rank == root:
-        start = sched.add(TriggerOp(INTERNAL_ACTIVATION))
-        entry = start.name
-    else:
-        parent = binomial_tree_parent(rank, size, root)
-        entry = sched.recv(
-            f"recv_from_{parent}", source=parent, tag=tag, buffer=buffer
-        ).name
-    for child in children:
-        sched.send(f"send_to_{child}", dest=child, tag=tag, buffer=buffer, after=[entry])
-    sched.nop(COMPLETED, after=[entry])
-    return sched
 
 
 def build_recursive_doubling_allreduce_schedule(

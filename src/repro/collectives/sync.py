@@ -16,6 +16,23 @@ These implement the classic allreduce algorithms referenced by the paper
   (``comm.router.host_topology``, exposed by the ``hier`` backend) so
   non-leader ranks never touch an inter-host link.
 
+Allreduce = reduce-scatter + allgather
+--------------------------------------
+Every bandwidth-optimal allreduce here is the classic composition of a
+reduce-scatter and an allgather (Thakur, Rabenseifner & Gropp, IJHPCA
+2005).  Each phase — ring reduce-scatter and allgather,
+recursive-halving reduce-scatter, recursive-doubling allgather, their
+compressed-ring variants, intra-host tree reduce/broadcast and
+scatter/gather, and the leader-rank view — exists once, as a private
+helper below that takes the ``(epoch, phase, mint)`` to tag with.  The
+allreduces compose them inside one epoch of the ``sync`` tag region;
+the standalone ``reduce_scatter``/``allgather_flat`` of
+:mod:`repro.collectives.sharding` call the same helpers with the
+``sharding`` region's tags, so the two are the same code.  The
+hierarchical schedules run the ring phases over the leader view in
+their own leader phases.  Recursive doubling, the schedule of the
+partial collectives, has no reduce-scatter half and stays monolithic.
+
 Non-power-of-two worlds
 -----------------------
 All three allreduce algorithms handle arbitrary world sizes *natively*
@@ -102,23 +119,21 @@ _PHASE_FOLD_IN = 8
 _PHASE_FOLD_OUT = 9
 _PHASE_HIER_REDUCE = 10
 _PHASE_HIER_BCAST = 11
-#: The hierarchical leader exchange reuses the ring algorithms through a
-#: rank-remapped view of the communicator; the inner collective's phases
-#: (``_PHASE_RING_RS``/``_PHASE_RING_AG``) are shifted by this amount so
-#: they land in [12, 14) instead of colliding with the flat phases.
-_HIER_LEADER_PHASE_SHIFT = 8
+_PHASE_HIER_LEADER_RS = 12
+_PHASE_HIER_LEADER_AG = 13
 
 
-def _next_epoch(comm: Communicator) -> int:
+def _next_epoch(comm: Communicator, attr: str = "_sync_collective_epoch") -> int:
     """Per-communicator collective sequence number.
 
     All ranks call collectives in the same (SPMD) order, so incrementing a
     local counter on each rank keeps the tag spaces aligned globally.
+    ``attr`` names the counter: each tag region keeps its own.
     """
-    counter = getattr(comm, "_sync_collective_epoch", None)
+    counter = getattr(comm, attr, None)
     if counter is None:
         counter = itertools.count()
-        setattr(comm, "_sync_collective_epoch", counter)
+        setattr(comm, attr, counter)
     return next(counter)
 
 
@@ -424,6 +439,397 @@ def allgather(
 
 
 # --------------------------------------------------------------------------
+# schedule phases
+# --------------------------------------------------------------------------
+# Each helper below runs one phase of one collective invocation and tags
+# its messages with the ``(epoch, phase, mint)`` its caller passes.  The
+# allreduces of this module and the sharded collectives of
+# :mod:`repro.collectives.sharding` are all composed from them, each in
+# its own tag region.
+def _ring_reduce_scatter(
+    comm,
+    flat: np.ndarray,
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    reduce_op: ReduceOp,
+    timeout: Optional[float],
+    mint: Callable[..., int] = _tag,
+) -> None:
+    """Ring reduce-scatter over ``P - 1`` steps: rank r ends owning chunk (r+1)%P.
+
+    The vector is cut into ``P`` nearly equal chunks; each step sends one
+    chunk to the successor and combines the chunk received from the
+    predecessor.
+    """
+    rank, size = comm.rank, comm.size
+    bounds = _segment_bounds(flat.size, size)
+    succ = (rank + 1) % size
+    pred = (rank - 1) % size
+    for step in range(size - 1):
+        send_chunk = (rank - step) % size
+        recv_chunk = (rank - step - 1) % size
+        _send_segments(
+            comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
+            mint=mint,
+        )
+        _recv_segments(
+            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
+            timeout, reduce_op=reduce_op, mint=mint,
+        )
+
+
+def _ring_allgather(
+    comm,
+    flat: np.ndarray,
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    timeout: Optional[float],
+    mint: Callable[..., int] = _tag,
+) -> None:
+    """Ring allgather: circulates each rank's owned chunk (r+1)%P."""
+    rank, size = comm.rank, comm.size
+    bounds = _segment_bounds(flat.size, size)
+    succ = (rank + 1) % size
+    pred = (rank - 1) % size
+    for step in range(size - 1):
+        send_chunk = (rank - step + 1) % size
+        recv_chunk = (rank - step) % size
+        _send_segments(
+            comm, flat, *bounds[send_chunk], succ, epoch, phase, step, n_chunks,
+            mint=mint,
+        )
+        _recv_segments(
+            comm, flat, *bounds[recv_chunk], pred, epoch, phase, step, n_chunks,
+            timeout, mint=mint,
+        )
+
+
+def _halving_steps(rank: int, pof2: int, length: int):
+    """The recursive-halving walk: ``(partner, keep, send)`` per round.
+
+    ``keep`` and ``send`` are ``(lo, hi)`` halves of the window the rank
+    holds at that round; the lower rank of each pair keeps the lower half.
+    """
+    lo, hi = 0, length
+    dist = pof2 // 2
+    while dist >= 1:
+        partner = rank ^ dist
+        mid = lo + (hi - lo) // 2
+        if rank < partner:
+            keep, send = (lo, mid), (mid, hi)
+        else:
+            keep, send = (mid, hi), (lo, mid)
+        yield partner, keep, send
+        lo, hi = keep
+        dist //= 2
+
+
+def _halving_window(rank: int, pof2: int, length: int) -> Tuple[int, int]:
+    """The window the recursive-halving walk leaves ``rank`` with."""
+    window = (0, length)
+    for _partner, window, _send in _halving_steps(rank, pof2, length):
+        pass
+    return window
+
+
+def _halving_reduce_scatter(
+    comm,
+    flat: np.ndarray,
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    reduce_op: ReduceOp,
+    timeout: Optional[float],
+    mint: Callable[..., int] = _tag,
+) -> None:
+    """Recursive-halving reduce-scatter within the power-of-two group.
+
+    Run by the in-group ranks only (after :func:`_fold_in`); each ends
+    owning :func:`_halving_window` fully reduced.
+    """
+    pof2 = largest_power_of_two_leq(comm.size)
+    for round_index, (partner, keep, send) in enumerate(
+        _halving_steps(comm.rank, pof2, flat.size)
+    ):
+        _send_segments(
+            comm, flat, *send, partner, epoch, phase, round_index, n_chunks,
+            mint=mint,
+        )
+        _recv_segments(
+            comm, flat, *keep, partner, epoch, phase, round_index, n_chunks,
+            timeout, reduce_op=reduce_op, mint=mint,
+        )
+
+
+def _doubling_allgather(
+    comm,
+    flat: np.ndarray,
+    epoch: int,
+    phase: int,
+    timeout: Optional[float],
+    mint: Callable[..., int] = _tag,
+) -> None:
+    """Recursive-doubling allgather of the halving windows (in-group ranks).
+
+    Retraces the halving steps in reverse order, one message per round
+    carrying the sender's current ``(lo, hi, values)``.
+    """
+    rank = comm.rank
+    pof2 = largest_power_of_two_leq(comm.size)
+    seg_lo, seg_hi = _halving_window(rank, pof2, flat.size)
+    dist = 1
+    round_index = 0
+    while dist < pof2:
+        partner = rank ^ dist
+        tag = mint(epoch, phase, round_index)
+        comm.send((seg_lo, seg_hi, flat[seg_lo:seg_hi].copy()), partner, tag=tag)
+        other_lo, other_hi, other_data = comm.recv(
+            source=partner, tag=tag, timeout=timeout
+        )
+        if other_hi > other_lo:
+            flat[other_lo:other_hi] = other_data
+        seg_lo, seg_hi = min(seg_lo, other_lo), max(seg_hi, other_hi)
+        dist *= 2
+        round_index += 1
+
+
+# -- compressed ring: encoded wire hops, dense float64 arithmetic ----------
+def _require_wire_codec(codec) -> None:
+    if codec.wire_dtype is None:
+        raise ValueError(
+            f"codec {codec.name!r} has no fixed-width wire dtype; the "
+            f"compressed ring needs one encoded element per dense element"
+        )
+
+
+def _as_dense_float64(data, copy: bool) -> np.ndarray:
+    """Owned, writable ``float64`` working buffer of a compressed collective.
+
+    ``copy=False`` lets a caller that owns the buffer (the bucketed
+    exchange packs owned fusion buffers) skip one full-size copy.
+    """
+    arr = np.asarray(data, dtype=np.float64)
+    if (copy and arr is data) or not arr.flags.writeable:
+        arr = np.array(arr, copy=True)
+    return arr
+
+
+def _encode_chunk(codec, flat: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    if hi <= lo:
+        # Worlds larger than the bucket leave some ranks with empty ring
+        # chunks; codecs reject empty buffers, but an empty fixed-width
+        # wire payload is well-defined (and the peer is already blocked
+        # waiting for this round's message).
+        return np.empty(0, dtype=codec.wire_dtype)
+    return np.asarray(codec.encode(flat[lo:hi]).payload)
+
+
+def _decode_chunk(codec, wire: np.ndarray, num_elements: int) -> np.ndarray:
+    from repro.compression.base import EncodedGradient
+
+    template = EncodedGradient(codec.name, num_elements, wire, wire.nbytes)
+    return codec.decode(template)
+
+
+def _recv_wire(
+    comm, codec, length: int, pred: int, epoch: int, phase: int, step: int,
+    n_chunks: int, timeout: Optional[float], mint: Callable[..., int],
+) -> np.ndarray:
+    if n_chunks == 1:
+        # Use the delivered array directly instead of copying it into a
+        # preallocated buffer — one fewer pass over the payload.
+        return np.asarray(
+            comm.recv(source=pred, tag=mint(epoch, phase, step, 0), timeout=timeout)
+        )
+    buf = np.empty(length, dtype=codec.wire_dtype)
+    _recv_segments(
+        comm, buf, 0, length, pred, epoch, phase, step, n_chunks, timeout,
+        mint=mint,
+    )
+    return buf
+
+
+def _compressed_ring_reduce_scatter(
+    comm,
+    flat: np.ndarray,
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    codec,
+    timeout: Optional[float],
+    mint: Callable[..., int] = _tag,
+) -> None:
+    """Ring reduce-scatter with encoded hops and dense float64 combines.
+
+    Each step decodes the incoming chunk, adds it densely, and re-encodes
+    the chunk it forwards.  For cast-decodable codecs (``wire_is_values``:
+    fp16's widening cast, the identity codec's float64 — a float wire
+    dtype alone is not enough) the payload is folded in by one fused
+    cast-and-add (:func:`repro.comm.reduce_kernels.accumulate_wire`),
+    the same values as decode-then-add with one fewer pass.
+    """
+    rank, size = comm.rank, comm.size
+    bounds = _segment_bounds(flat.size, size)
+    succ = (rank + 1) % size
+    pred = (rank - 1) % size
+    cast_decodable = bool(getattr(codec, "wire_is_values", False))
+    for step in range(size - 1):
+        send_chunk = (rank - step) % size
+        recv_chunk = (rank - step - 1) % size
+        wire_out = _encode_chunk(codec, flat, *bounds[send_chunk])
+        _send_segments(
+            comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
+            mint=mint,
+        )
+        lo, hi = bounds[recv_chunk]
+        wire_in = _recv_wire(
+            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks, timeout, mint
+        )
+        if hi > lo and not (
+            cast_decodable and reduce_kernels.accumulate_wire(flat[lo:hi], wire_in)
+        ):
+            flat[lo:hi] += _decode_chunk(codec, wire_in, hi - lo)
+
+
+def _compressed_ring_allgather(
+    comm,
+    flat: np.ndarray,
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    codec,
+    timeout: Optional[float],
+    mint: Callable[..., int] = _tag,
+) -> None:
+    """Ring allgather of encoded chunks; every rank decodes identical bytes.
+
+    The owned chunk is encoded once and circulated unchanged; at the end
+    it is re-decoded from its encoded form too, so all replicas hold
+    bit-identical values.  Cast-decodable payloads widen with one fused
+    casting store.
+    """
+    rank, size = comm.rank, comm.size
+    bounds = _segment_bounds(flat.size, size)
+    succ = (rank + 1) % size
+    pred = (rank - 1) % size
+    cast_decodable = bool(getattr(codec, "wire_is_values", False))
+    own = (rank + 1) % size
+    encoded_chunks: Dict[int, np.ndarray] = {own: _encode_chunk(codec, flat, *bounds[own])}
+    for step in range(size - 1):
+        send_chunk = (rank - step + 1) % size
+        recv_chunk = (rank - step) % size
+        wire_out = encoded_chunks[send_chunk]
+        _send_segments(
+            comm, wire_out, 0, wire_out.size, succ, epoch, phase, step, n_chunks,
+            mint=mint,
+        )
+        lo, hi = bounds[recv_chunk]
+        encoded_chunks[recv_chunk] = _recv_wire(
+            comm, codec, hi - lo, pred, epoch, phase, step, n_chunks, timeout, mint
+        )
+    for index, wire in encoded_chunks.items():
+        lo, hi = bounds[index]
+        if hi > lo:
+            wire_arr = np.asarray(wire)
+            if cast_decodable and np.issubdtype(wire_arr.dtype, np.floating):
+                np.copyto(flat[lo:hi], wire_arr)
+            else:
+                flat[lo:hi] = _decode_chunk(codec, wire_arr, hi - lo)
+
+
+# -- two-tier phases -------------------------------------------------------
+class _LeaderRanks:
+    """Rank-remapped view of ``comm`` restricted to the host leaders.
+
+    Subgroup rank ``i`` is global rank ``leaders[i]``; tags pass through
+    unchanged, so a ring phase run on the view tags with whatever leader
+    phase its caller names.
+    """
+
+    def __init__(self, comm: Communicator, leaders: Tuple[int, ...]) -> None:
+        self._comm = comm
+        self._leaders = tuple(leaders)
+        self.rank = self._leaders.index(comm.rank)
+        self.size = len(self._leaders)
+
+    def send(self, data, dest: int, tag: int = 0) -> None:
+        self._comm.send(data, self._leaders[dest], tag=tag)
+
+    def recv(self, source: int, tag: int, timeout: Optional[float] = None):
+        return self._comm.recv(source=self._leaders[source], tag=tag, timeout=timeout)
+
+
+def _intra_tree(
+    comm: Communicator,
+    flat: np.ndarray,
+    edges,
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    timeout: Optional[float],
+    reduce_op: Optional[ReduceOp] = None,
+    mint: Callable[..., int] = _tag,
+) -> None:
+    """Move the whole buffer along one host's binomial-tree ``(src, dst)`` edges.
+
+    With ``reduce_op`` the receiver combines (reduce onto the leader along
+    :func:`~repro.collectives.topology.intra_reduce_edges`); without it
+    the receiver assigns (broadcast from the leader along
+    :func:`~repro.collectives.topology.intra_bcast_edges`).
+    """
+    rank = comm.rank
+    for round_index, (src, dst) in enumerate(edges):
+        if rank == src:
+            _send_segments(
+                comm, flat, 0, flat.size, dst, epoch, phase, round_index,
+                n_chunks, mint=mint,
+            )
+        elif rank == dst:
+            _recv_segments(
+                comm, flat, 0, flat.size, src, epoch, phase, round_index,
+                n_chunks, timeout, reduce_op=reduce_op, mint=mint,
+            )
+
+
+def _intra_windows(
+    comm: Communicator,
+    flat: np.ndarray,
+    topology: HostTopology,
+    windows: List[Tuple[int, int]],
+    epoch: int,
+    phase: int,
+    n_chunks: int,
+    timeout: Optional[float],
+    gather: bool = False,
+    mint: Callable[..., int] = _tag,
+) -> None:
+    """Scatter each host member's ``windows[member]`` from the leader.
+
+    With ``gather`` the members send their windows to the leader instead.
+    Round ``j`` is the member's local index on its host.
+    """
+    rank = comm.rank
+    host = topology.host(rank)
+    leader = topology.leader_of(host)
+    for j, member in enumerate(topology.ranks_on_host(host)):
+        if member == leader:
+            continue
+        src, dst = (member, leader) if gather else (leader, member)
+        if rank == src:
+            _send_segments(
+                comm, flat, *windows[member], dst, epoch, phase, j, n_chunks,
+                mint=mint,
+            )
+        elif rank == dst:
+            _recv_segments(
+                comm, flat, *windows[member], src, epoch, phase, j, n_chunks,
+                timeout, mint=mint,
+            )
+
+
+# --------------------------------------------------------------------------
 # allreduce algorithms
 # --------------------------------------------------------------------------
 def allreduce_recursive_doubling(
@@ -487,6 +893,26 @@ def allreduce_recursive_doubling(
     return flat.reshape(acc.shape)
 
 
+def _ring_allreduce(
+    comm,
+    flat: np.ndarray,
+    epoch: int,
+    rs_phase: int,
+    ag_phase: int,
+    n_chunks: int,
+    reduce_op: ReduceOp,
+    timeout: Optional[float],
+) -> None:
+    """Ring reduce-scatter then ring allgather (flat ring or leader ring)."""
+    steps = comm.size - 1
+    with _obs.span("ring-rs", "collective", steps=steps, n_chunks=n_chunks):
+        _ring_reduce_scatter(
+            comm, flat, epoch, rs_phase, n_chunks, reduce_op, timeout
+        )
+    with _obs.span("ring-ag", "collective", steps=steps, n_chunks=n_chunks):
+        _ring_allgather(comm, flat, epoch, ag_phase, n_chunks, timeout)
+
+
 def allreduce_ring(
     comm: Communicator,
     data,
@@ -510,57 +936,14 @@ def allreduce_ring(
     epoch = _next_epoch(comm)
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
-    rank, size = comm.rank, comm.size
     arr = _as_float_array(data, copy=copy)
-    if size == 1:
+    if comm.size == 1:
         return arr
     flat = arr.reshape(-1)
-    bounds = _segment_bounds(flat.size, size)
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-
-    # reduce-scatter
-    with _obs.span("ring-rs", "collective", steps=size - 1, n_chunks=n_chunks):
-        for step in range(size - 1):
-            send_chunk = (rank - step) % size
-            recv_chunk = (rank - step - 1) % size
-            _send_segments(
-                comm, flat, *bounds[send_chunk], succ, epoch, _PHASE_RING_RS,
-                step, n_chunks,
-            )
-            _recv_segments(
-                comm,
-                flat,
-                *bounds[recv_chunk],
-                pred,
-                epoch,
-                _PHASE_RING_RS,
-                step,
-                n_chunks,
-                timeout,
-                reduce_op=reduce_op,
-            )
-
-    # allgather
-    with _obs.span("ring-ag", "collective", steps=size - 1, n_chunks=n_chunks):
-        for step in range(size - 1):
-            send_chunk = (rank - step + 1) % size
-            recv_chunk = (rank - step) % size
-            _send_segments(
-                comm, flat, *bounds[send_chunk], succ, epoch, _PHASE_RING_AG,
-                step, n_chunks,
-            )
-            _recv_segments(
-                comm,
-                flat,
-                *bounds[recv_chunk],
-                pred,
-                epoch,
-                _PHASE_RING_AG,
-                step,
-                n_chunks,
-                timeout,
-            )
+    _ring_allreduce(
+        comm, flat, epoch, _PHASE_RING_RS, _PHASE_RING_AG, n_chunks, reduce_op,
+        timeout,
+    )
     return flat.reshape(arr.shape)
 
 
@@ -587,67 +970,18 @@ def allreduce_rabenseifner(
     epoch = _next_epoch(comm)
     reduce_op = get_op(op)
     n_chunks = _validate_chunks(n_chunks)
-    rank, size = comm.rank, comm.size
     arr = _as_float_array(data, copy=copy)
-    if size == 1:
+    if comm.size == 1:
         return arr
     flat = arr.reshape(-1)
-    n = flat.size
-
-    pof2 = largest_power_of_two_leq(size)
     in_group = _fold_in(comm, flat, epoch, n_chunks, reduce_op, timeout)
-
     if in_group:
-        # Recursive-halving reduce-scatter within the power-of-two group.
-        # Each rank keeps track of the index range [lo, hi) it owns.
         with _obs.span("raben-rs", "collective", n_chunks=n_chunks):
-            lo, hi = 0, n
-            dist = pof2 // 2
-            round_index = 0
-            while dist >= 1:
-                partner = rank ^ dist
-                mid = lo + (hi - lo) // 2
-                if rank < partner:
-                    # Keep the lower half, send the upper half.
-                    keep_lo, keep_hi = lo, mid
-                    send_lo, send_hi = mid, hi
-                else:
-                    keep_lo, keep_hi = mid, hi
-                    send_lo, send_hi = lo, mid
-                _send_segments(
-                    comm, flat, send_lo, send_hi, partner, epoch,
-                    _PHASE_RABEN_RS, round_index, n_chunks,
-                )
-                _recv_segments(
-                    comm, flat, keep_lo, keep_hi, partner, epoch,
-                    _PHASE_RABEN_RS, round_index, n_chunks, timeout,
-                    reduce_op=reduce_op,
-                )
-                lo, hi = keep_lo, keep_hi
-                dist //= 2
-                round_index += 1
-
-        # Recursive-doubling allgather of the owned segments, retracing the
-        # halving steps in reverse order.
+            _halving_reduce_scatter(
+                comm, flat, epoch, _PHASE_RABEN_RS, n_chunks, reduce_op, timeout
+            )
         with _obs.span("raben-ag", "collective"):
-            seg_lo, seg_hi = lo, hi
-            dist = 1
-            round_index = 0
-            while dist < pof2:
-                partner = rank ^ dist
-                tag = _tag(epoch, _PHASE_RABEN_AG, round_index)
-                comm.send(
-                    (seg_lo, seg_hi, flat[seg_lo:seg_hi].copy()), partner, tag=tag
-                )
-                other_lo, other_hi, other_data = comm.recv(
-                    source=partner, tag=tag, timeout=timeout
-                )
-                if other_hi > other_lo:
-                    flat[other_lo:other_hi] = other_data
-                seg_lo, seg_hi = min(seg_lo, other_lo), max(seg_hi, other_hi)
-                dist *= 2
-                round_index += 1
-
+            _doubling_allgather(comm, flat, epoch, _PHASE_RABEN_AG, timeout)
     _fold_out(comm, flat, epoch, n_chunks, in_group, timeout)
     return flat.reshape(arr.shape)
 
@@ -687,103 +1021,23 @@ def allreduce_compressed_ring(
     segmented ring and take the allgather exchange in
     :class:`repro.training.exchange.SynchronousExchange` instead.
     """
-    if codec.wire_dtype is None:
-        raise ValueError(
-            f"codec {codec.name!r} has no fixed-width wire dtype; the "
-            f"compressed ring needs one encoded element per dense element"
-        )
+    _require_wire_codec(codec)
     epoch = _next_epoch(comm)
     n_chunks = _validate_chunks(n_chunks)
     rank, size = comm.rank, comm.size
-    arr = np.asarray(data, dtype=np.float64)
-    if (copy and arr is data) or not arr.flags.writeable:
-        # ``copy=False`` lets a caller that owns the buffer (the bucketed
-        # exchange packs owned fusion buffers) skip one full-size copy.
-        arr = np.array(arr, copy=True)
+    arr = _as_dense_float64(data, copy)
     if size == 1:
         return arr
     flat = arr.reshape(-1)
-    bounds = _segment_bounds(flat.size, size)
-    succ = (rank + 1) % size
-    pred = (rank - 1) % size
-
-    def encode(lo: int, hi: int) -> np.ndarray:
-        if hi <= lo:
-            # Worlds larger than the bucket leave some ranks with empty
-            # ring chunks; codecs reject empty buffers, but an empty
-            # fixed-width wire payload is well-defined (and the peer is
-            # already blocked waiting for this round's message).
-            return np.empty(0, dtype=codec.wire_dtype)
-        return np.asarray(codec.encode(flat[lo:hi]).payload)
-
-    def decode(wire: np.ndarray, num_elements: int) -> np.ndarray:
-        from repro.compression.base import EncodedGradient
-
-        template = EncodedGradient(codec.name, num_elements, wire, wire.nbytes)
-        return codec.decode(template)
-
-    def recv_wire(length: int, phase: int, step: int) -> np.ndarray:
-        if n_chunks == 1:
-            # Use the delivered array directly instead of copying it into
-            # a preallocated buffer — one fewer pass over the payload.
-            return np.asarray(
-                comm.recv(source=pred, tag=_tag(epoch, phase, step, 0), timeout=timeout)
-            )
-        buf = np.empty(length, dtype=codec.wire_dtype)
-        _recv_segments(comm, buf, 0, length, pred, epoch, phase, step, n_chunks, timeout)
-        return buf
-
-    # Whether the wire payload's elements ARE the decoded values (fp16's
-    # widening cast, the identity codec's float64): only such codecs may
-    # skip decode() on the fast paths below — a float wire dtype alone
-    # is not enough (a future scaled-fp16 codec must keep its decode).
-    cast_decodable = bool(getattr(codec, "wire_is_values", False))
-
-    # Reduce-scatter: encoded chunks on the wire, dense accumulation.
-    # For cast-decodable codecs the incoming payload is folded into the
-    # dense accumulator by one fused cast-and-add ufunc call
-    # (:func:`repro.comm.reduce_kernels.accumulate_wire`) — same values
-    # as decode-then-add (the widening cast is exact), one fewer pass.
-    for step in range(size - 1):
-        send_chunk = (rank - step) % size
-        recv_chunk = (rank - step - 1) % size
-        wire_out = encode(*bounds[send_chunk])
-        _send_segments(
-            comm, wire_out, 0, wire_out.size, succ, epoch, _PHASE_RING_RS, step, n_chunks
-        )
-        lo, hi = bounds[recv_chunk]
-        wire_in = recv_wire(hi - lo, _PHASE_RING_RS, step)
-        if hi > lo and not (
-            cast_decodable and reduce_kernels.accumulate_wire(flat[lo:hi], wire_in)
-        ):
-            flat[lo:hi] += decode(wire_in, hi - lo)
-
-    # This rank now owns chunk (rank + 1) % size fully reduced: average
-    # densely, encode once, and circulate the encoded chunk unchanged.
-    own = (rank + 1) % size
+    _compressed_ring_reduce_scatter(
+        comm, flat, epoch, _PHASE_RING_RS, n_chunks, codec, timeout
+    )
     if average:
-        flat[bounds[own][0] : bounds[own][1]] /= size
-    encoded_chunks: Dict[int, np.ndarray] = {own: encode(*bounds[own])}
-    for step in range(size - 1):
-        send_chunk = (rank - step + 1) % size
-        recv_chunk = (rank - step) % size
-        wire_out = encoded_chunks[send_chunk]
-        _send_segments(
-            comm, wire_out, 0, wire_out.size, succ, epoch, _PHASE_RING_AG, step, n_chunks
-        )
-        lo, hi = bounds[recv_chunk]
-        encoded_chunks[recv_chunk] = recv_wire(hi - lo, _PHASE_RING_AG, step)
-    # Decode the foreign chunks; the own chunk is re-decoded from its
-    # encoded form too, so all ranks hold bit-identical replicas.
-    # Cast-decodable wire payloads widen with one fused casting store.
-    for index, wire in encoded_chunks.items():
-        lo, hi = bounds[index]
-        if hi > lo:
-            wire_arr = np.asarray(wire)
-            if cast_decodable and np.issubdtype(wire_arr.dtype, np.floating):
-                np.copyto(flat[lo:hi], wire_arr)
-            else:
-                flat[lo:hi] = decode(wire_arr, hi - lo)
+        lo, hi = _segment_bounds(flat.size, size)[(rank + 1) % size]
+        flat[lo:hi] /= size
+    _compressed_ring_allgather(
+        comm, flat, epoch, _PHASE_RING_AG, n_chunks, codec, timeout
+    )
     return flat.reshape(arr.shape)
 
 
@@ -812,97 +1066,6 @@ def resolve_host_topology(
     if isinstance(found, HostTopology) and found.world_size == comm.size:
         return found
     return HostTopology.single_host(comm.size)
-
-
-class _LeaderView:
-    """Rank- and tag-remapped view of ``comm`` restricted to the host leaders.
-
-    The inter-host stage of the hierarchical allreduce is just a ring
-    collective over the leader ranks, so instead of reimplementing the
-    (intricate, already-tested) ring schedules this view lets them run
-    unchanged: subgroup rank ``i`` is global rank ``leaders[i]``, and
-    tags are translated into the *enclosing* collective's epoch with the
-    ring phases shifted to the hierarchical leader-phase namespace.
-
-    Exactly **one** inner collective may run per view: the inner call
-    allocates epoch 0 on the fresh view, and a second would allocate
-    epoch 1, which the tag translation rejects (it would alias the next
-    outer epoch).
-    """
-
-    def __init__(self, comm: Communicator, leaders: Tuple[int, ...], epoch: int) -> None:
-        self._comm = comm
-        self._leaders = tuple(leaders)
-        self.rank = self._leaders.index(comm.rank)
-        self.size = len(self._leaders)
-        self._epoch = epoch
-
-    def _remap_tag(self, tag: int) -> int:
-        offset = tag - _SYNC_TAG_BASE
-        phase, rest = divmod(offset, _PHASE_STRIDE)
-        round_index, chunk = divmod(rest, _ROUND_STRIDE)
-        # _tag() raises if the shifted phase overflows — which is exactly
-        # what a second inner collective (epoch 1 -> phase >= 16) hits.
-        return _tag(self._epoch, phase + _HIER_LEADER_PHASE_SHIFT, round_index, chunk)
-
-    def send(self, data, dest: int, tag: int = 0) -> None:
-        self._comm.send(data, self._leaders[dest], tag=self._remap_tag(tag))
-
-    def recv(self, source: int, tag: int, timeout: Optional[float] = None):
-        return self._comm.recv(
-            source=self._leaders[source], tag=self._remap_tag(tag), timeout=timeout
-        )
-
-
-def _intra_reduce(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    reduce_op: ReduceOp,
-    timeout: Optional[float],
-) -> None:
-    """Reduce every host's contributions onto its leader (binomial tree)."""
-    rank = comm.rank
-    for round_index, (src, dst) in enumerate(
-        intra_reduce_edges(topology, topology.host(rank))
-    ):
-        if rank == src:
-            _send_segments(
-                comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_REDUCE,
-                round_index, n_chunks,
-            )
-        elif rank == dst:
-            _recv_segments(
-                comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_REDUCE,
-                round_index, n_chunks, timeout, reduce_op=reduce_op,
-            )
-
-
-def _intra_bcast(
-    comm: Communicator,
-    flat: np.ndarray,
-    topology: HostTopology,
-    epoch: int,
-    n_chunks: int,
-    timeout: Optional[float],
-) -> None:
-    """Broadcast the leader's (reduced) buffer back across its host."""
-    rank = comm.rank
-    for round_index, (src, dst) in enumerate(
-        intra_bcast_edges(topology, topology.host(rank))
-    ):
-        if rank == src:
-            _send_segments(
-                comm, flat, 0, flat.size, dst, epoch, _PHASE_HIER_BCAST,
-                round_index, n_chunks,
-            )
-        elif rank == dst:
-            _recv_segments(
-                comm, flat, 0, flat.size, src, epoch, _PHASE_HIER_BCAST,
-                round_index, n_chunks, timeout,
-            )
 
 
 def allreduce_hierarchical(
@@ -942,19 +1105,26 @@ def allreduce_hierarchical(
     n_chunks = _validate_chunks(n_chunks)
     acc = _as_float_array(data, copy=copy)
     flat = acc.reshape(-1)
+    host = topology.host(comm.rank)
 
     with _obs.span("hier-intra-reduce", "collective", n_chunks=n_chunks):
-        _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op, timeout)
+        _intra_tree(
+            comm, flat, intra_reduce_edges(topology, host), epoch,
+            _PHASE_HIER_REDUCE, n_chunks, timeout, reduce_op,
+        )
     if topology.is_leader(comm.rank):
         with _obs.span("hier-leader-ring", "collective",
                        leaders=topology.num_hosts, n_chunks=n_chunks):
-            view = _LeaderView(comm, topology.leaders, epoch)
-            allreduce_ring(
-                view, flat, op=reduce_op, timeout=timeout, n_chunks=n_chunks,
-                copy=False,
+            _ring_allreduce(
+                _LeaderRanks(comm, topology.leaders), flat, epoch,
+                _PHASE_HIER_LEADER_RS, _PHASE_HIER_LEADER_AG, n_chunks,
+                reduce_op, timeout,
             )
     with _obs.span("hier-intra-bcast", "collective", n_chunks=n_chunks):
-        _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
+        _intra_tree(
+            comm, flat, intra_bcast_edges(topology, host), epoch,
+            _PHASE_HIER_BCAST, n_chunks, timeout,
+        )
     return flat.reshape(acc.shape)
 
 
@@ -975,7 +1145,7 @@ def allreduce_compressed_hierarchical(
     the intra-host reduce and broadcast stay dense (shm rings move
     float64 faster than any codec round-trip) and only the leader ring
     carries the codec's wire payload, via the same decode-reduce-encode
-    schedule as :func:`allreduce_compressed_ring`.
+    phases as :func:`allreduce_compressed_ring`.
 
     ``average`` divides by the **global** world size, applied densely at
     every leader after the leader exchange (all leaders hold the same
@@ -988,25 +1158,31 @@ def allreduce_compressed_hierarchical(
             comm, data, codec, average=average, timeout=timeout,
             n_chunks=n_chunks, copy=copy,
         )
+    _require_wire_codec(codec)
     epoch = _next_epoch(comm)
     n_chunks = _validate_chunks(n_chunks)
-    reduce_op = get_op("sum")
-    arr = np.asarray(data, dtype=np.float64)
-    if (copy and arr is data) or not arr.flags.writeable:
-        arr = np.array(arr, copy=True)
+    arr = _as_dense_float64(data, copy)
     flat = arr.reshape(-1)
+    host = topology.host(comm.rank)
 
-    _intra_reduce(comm, flat, topology, epoch, n_chunks, reduce_op, timeout)
+    _intra_tree(
+        comm, flat, intra_reduce_edges(topology, host), epoch,
+        _PHASE_HIER_REDUCE, n_chunks, timeout, get_op("sum"),
+    )
     if topology.is_leader(comm.rank):
-        if topology.num_hosts > 1:
-            view = _LeaderView(comm, topology.leaders, epoch)
-            allreduce_compressed_ring(
-                view, flat, codec, average=False, timeout=timeout,
-                n_chunks=n_chunks, copy=False,
-            )
+        leaders = _LeaderRanks(comm, topology.leaders)
+        _compressed_ring_reduce_scatter(
+            leaders, flat, epoch, _PHASE_HIER_LEADER_RS, n_chunks, codec, timeout
+        )
+        _compressed_ring_allgather(
+            leaders, flat, epoch, _PHASE_HIER_LEADER_AG, n_chunks, codec, timeout
+        )
         if average:
             flat /= topology.world_size
-    _intra_bcast(comm, flat, topology, epoch, n_chunks, timeout)
+    _intra_tree(
+        comm, flat, intra_bcast_edges(topology, host), epoch,
+        _PHASE_HIER_BCAST, n_chunks, timeout,
+    )
     return flat.reshape(arr.shape)
 
 

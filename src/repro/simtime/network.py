@@ -64,10 +64,3 @@ def message_time(nbytes: int, params: LogGPParams = DEFAULT_NETWORK) -> float:
     if nbytes < 0:
         raise ValueError(f"message size must be non-negative, got {nbytes}")
     return params.alpha + nbytes * params.beta
-
-
-def reduction_time(nbytes: int, params: LogGPParams = DEFAULT_NETWORK) -> float:
-    """Time to combine ``nbytes`` of data with a reduction operator."""
-    if nbytes < 0:
-        raise ValueError(f"reduction size must be non-negative, got {nbytes}")
-    return nbytes * params.gamma

@@ -237,7 +237,71 @@ def _apply_plan(
     return plan.fusion_threshold_bytes, plan.pipeline_chunks
 
 
-class SynchronousExchange(GradientExchange):
+class _BucketedExchange(GradientExchange):
+    """Fusion-bucket plumbing shared by the two synchronous exchanges.
+
+    Validates and resolves the fusion knobs (``plan`` wins over the
+    explicit ones), discovers the transport's host topology, builds the
+    bucketer lazily on the first gradient, and keeps persistent fusion
+    buffers so each exchange pays a copy into warm pages instead of
+    fresh allocations (and their page faults) per bucket.  The per-step
+    loops stay in the subclasses: they differ in where the optimizer
+    runs.
+    """
+
+    def __init__(
+        self,
+        comm: Communicator,
+        fusion_buckets: int,
+        fusion_threshold_bytes: Optional[int],
+        pipeline_chunks: int,
+        bucketer: Optional[GradientBucketer],
+        plan: Optional[TunedPlan],
+        compression: CompressionSpec,
+        compression_options: Optional[Dict],
+    ) -> None:
+        if fusion_buckets < 1:
+            raise ValueError(f"fusion_buckets must be >= 1, got {fusion_buckets}")
+        fusion_threshold_bytes, pipeline_chunks = _apply_plan(
+            plan, comm, fusion_threshold_bytes, pipeline_chunks
+        )
+        if pipeline_chunks < 1:
+            raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
+        #: The transport's rank -> host map (single-host unless the
+        #: ``hier`` backend exposes a multi-host ``host_topology``).  On a
+        #: multi-host fabric every bucket is routed through the two-tier
+        #: schedules so non-leader traffic stays off inter-host links.
+        self.host_topology = resolve_host_topology(comm)
+        self.fusion_buckets = fusion_buckets
+        self.fusion_threshold_bytes = fusion_threshold_bytes
+        self.pipeline_chunks = pipeline_chunks
+        self.codec = resolve_codec(compression, compression_options)
+        self._bucketer = bucketer
+        self._step = 0
+        self._pack_buffers: Optional[List[np.ndarray]] = None
+
+    def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
+        if self._bucketer is None:
+            self._bucketer = _resolve_bucketer(
+                num_parameters, None, self.fusion_threshold_bytes,
+                self.fusion_buckets, codec=self.codec,
+            )
+        elif self._bucketer.num_elements != num_parameters:
+            raise ValueError(
+                f"flat gradient has {num_parameters} elements but the "
+                f"exchange's bucketer covers {self._bucketer.num_elements}"
+            )
+        return self._bucketer
+
+    def _pack_gradient(self, flat: np.ndarray, bucketer: GradientBucketer) -> List[np.ndarray]:
+        """Pack ``flat`` into the persistent fusion buffers."""
+        with _obs.span("bucket-pack", "exchange", nbytes=flat.nbytes,
+                       buckets=bucketer.num_buckets):
+            self._pack_buffers = bucketer.pack(flat, out=self._pack_buffers)
+        return self._pack_buffers
+
+
+class SynchronousExchange(_BucketedExchange):
     """Synchronous bucketed allreduce of the gradient (synch-SGD).
 
     Parameters
@@ -287,48 +351,17 @@ class SynchronousExchange(GradientExchange):
     ) -> None:
         if style not in ("deep500", "horovod"):
             raise ValueError(f"unknown synchronous style {style!r}")
-        if fusion_buckets < 1:
-            raise ValueError(f"fusion_buckets must be >= 1, got {fusion_buckets}")
-        fusion_threshold_bytes, pipeline_chunks = _apply_plan(
-            plan, comm, fusion_threshold_bytes, pipeline_chunks
+        super().__init__(
+            comm, fusion_buckets, fusion_threshold_bytes, pipeline_chunks,
+            bucketer, plan, compression, compression_options,
         )
-        if pipeline_chunks < 1:
-            raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
         self.comm = comm
         self.style = style
+        # On a multi-host fabric every bucket takes the two-tier schedule;
+        # the configured algorithm applies on a single host only.
         self.algorithm = algorithm
-        #: The transport's rank -> host map (single-host unless the
-        #: ``hier`` backend exposes a multi-host ``host_topology``).  On a
-        #: multi-host fabric every bucket is routed through the two-tier
-        #: schedules so non-leader traffic stays off inter-host links;
-        #: the configured ``algorithm`` then applies within a host tier
-        #: only in the degenerate single-host case.
-        self.host_topology = resolve_host_topology(comm)
-        self.fusion_buckets = fusion_buckets
-        self.fusion_threshold_bytes = fusion_threshold_bytes
-        self.pipeline_chunks = pipeline_chunks
-        self.codec = resolve_codec(compression, compression_options)
         self._compressor = None if self.codec is None else BucketCompressor(self.codec)
         self.name = f"sync-{style}"
-        self._bucketer = bucketer
-        self._step = 0
-        #: Persistent fusion buffers, reused across steps so each
-        #: exchange pays a copy into warm pages instead of fresh
-        #: allocations (and their page faults) per bucket.
-        self._pack_buffers: Optional[List[np.ndarray]] = None
-
-    def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
-        if self._bucketer is None:
-            self._bucketer = _resolve_bucketer(
-                num_parameters, None, self.fusion_threshold_bytes,
-                self.fusion_buckets, codec=self.codec,
-            )
-        elif self._bucketer.num_elements != num_parameters:
-            raise ValueError(
-                f"flat gradient has {num_parameters} elements but the "
-                f"exchange's bucketer covers {self._bucketer.num_elements}"
-            )
-        return self._bucketer
 
     def _negotiated_order(self, num_buckets: int) -> List[int]:
         """Horovod-style negotiation: consensus on the bucket issue order.
@@ -353,10 +386,7 @@ class SynchronousExchange(GradientExchange):
         start = time.perf_counter()
         flat = np.asarray(flat_gradient, dtype=np.float64)
         bucketer = self._ensure_bucketer(flat.size)
-        with _obs.span("bucket-pack", "exchange", nbytes=flat.nbytes,
-                       buckets=bucketer.num_buckets):
-            buffers = bucketer.pack(flat, out=self._pack_buffers)
-        self._pack_buffers = buffers
+        buffers = self._pack_gradient(flat, bucketer)
         if self.style == "horovod":
             order = self._negotiated_order(bucketer.num_buckets)
         else:
@@ -483,7 +513,7 @@ _SHARDED_ALGORITHM_FOR_ALLREDUCE = {
 }
 
 
-class ShardedExchange(GradientExchange):
+class ShardedExchange(_BucketedExchange):
     """ZeRO stage-1 exchange: scatter gradients, update a shard, gather params.
 
     Instead of allreducing the gradient and redundantly running the full
@@ -529,16 +559,12 @@ class ShardedExchange(GradientExchange):
         compression: CompressionSpec = None,
         compression_options: Optional[Dict] = None,
     ) -> None:
-        if fusion_buckets < 1:
-            raise ValueError(f"fusion_buckets must be >= 1, got {fusion_buckets}")
-        fusion_threshold_bytes, pipeline_chunks = _apply_plan(
-            plan, comm, fusion_threshold_bytes, pipeline_chunks
+        super().__init__(
+            comm, fusion_buckets, fusion_threshold_bytes, pipeline_chunks,
+            bucketer, plan, compression, compression_options,
         )
-        if pipeline_chunks < 1:
-            raise ValueError(f"pipeline_chunks must be >= 1, got {pipeline_chunks}")
         self._inner_comm = comm
         self.comm = _WireCountingComm(comm)
-        self.host_topology = resolve_host_topology(comm)
         if not self.host_topology.is_single_host:
             # Multi-host fabrics route every bucket through the two-tier
             # schedule so non-leader traffic stays off inter-host links.
@@ -549,7 +575,6 @@ class ShardedExchange(GradientExchange):
                 f"available: {sorted(ALLGATHER_FOR_REDUCE_SCATTER)}"
             )
         self.algorithm = algorithm
-        self.codec = resolve_codec(compression, compression_options)
         if self.codec is not None:
             if not self.codec.reduce_closed:
                 raise ValueError(
@@ -562,28 +587,9 @@ class ShardedExchange(GradientExchange):
                     f"compressed sharded exchange rides the ring schedule "
                     f"only, got algorithm {algorithm!r}"
                 )
-        self.fusion_buckets = fusion_buckets
-        self.fusion_threshold_bytes = fusion_threshold_bytes
-        self.pipeline_chunks = pipeline_chunks
         self.name = "sync-zero1"
-        self._bucketer = bucketer
-        self._step = 0
-        self._pack_buffers: Optional[List[np.ndarray]] = None
         self._param_buffers: Optional[List[np.ndarray]] = None
         self._windows: Optional[List[List[Tuple[int, int]]]] = None
-
-    def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
-        if self._bucketer is None:
-            self._bucketer = _resolve_bucketer(
-                num_parameters, None, self.fusion_threshold_bytes,
-                self.fusion_buckets, codec=self.codec,
-            )
-        elif self._bucketer.num_elements != num_parameters:
-            raise ValueError(
-                f"flat gradient has {num_parameters} elements but the "
-                f"exchange's bucketer covers {self._bucketer.num_elements}"
-            )
-        return self._bucketer
 
     def _ensure_windows(self, bucketer: GradientBucketer) -> List[List[Tuple[int, int]]]:
         if self._windows is None:
@@ -618,10 +624,7 @@ class ShardedExchange(GradientExchange):
         topology = (
             self.host_topology if self.algorithm == "hierarchical" else None
         )
-        with _obs.span("bucket-pack", "exchange", nbytes=flat.nbytes,
-                       buckets=bucketer.num_buckets):
-            buffers = bucketer.pack(flat, out=self._pack_buffers)
-        self._pack_buffers = buffers
+        buffers = self._pack_gradient(flat, bucketer)
         flat_params = flatten_parameters(model)
         if flat_params.size != flat.size:
             raise ValueError(

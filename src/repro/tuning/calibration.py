@@ -82,12 +82,6 @@ PROFILE_VERSION = 3
 LINK_CLASSES = ("intra", "inter")
 
 
-def supported_backends() -> Tuple[str, ...]:
-    """Backends a profile can be calibrated against (the live registry)."""
-    from repro.comm.backend import available_backends
-
-    return available_backends()
-
 #: Message sizes (bytes) of the full calibration sweep: 4 KiB - 4 MiB.
 DEFAULT_SIZES: Tuple[int, ...] = tuple(4 * 1024 * 4 ** i for i in range(6))
 #: Reduced sweep for ``--quick`` runs (CI smoke, auto-resolution).  A

@@ -1,7 +1,7 @@
 """Shared utilities: deterministic RNG handling, timers and statistics."""
 
 from repro.utils.rng import seeded_rng, spawn_rngs, rank_seed
-from repro.utils.timer import Timer, VirtualClock
+from repro.utils.timer import Timer
 from repro.utils.stats import (
     RunningStat,
     Histogram,
@@ -14,7 +14,6 @@ __all__ = [
     "spawn_rngs",
     "rank_seed",
     "Timer",
-    "VirtualClock",
     "RunningStat",
     "Histogram",
     "summarize",

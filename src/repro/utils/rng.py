@@ -58,11 +58,6 @@ def spawn_rngs(seed: SeedLike, count: int) -> List[np.random.Generator]:
     return [np.random.default_rng(child) for child in ss.spawn(count)]
 
 
-def shuffled_indices(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Return a random permutation of ``range(n)``."""
-    return rng.permutation(n)
-
-
 def choice_without_replacement(
     rng: np.random.Generator, n: int, k: int
 ) -> np.ndarray:

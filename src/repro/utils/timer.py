@@ -1,17 +1,9 @@
-"""Wall-clock and virtual-clock timers.
-
-The training runner measures real elapsed time with :class:`Timer`; the
-discrete-event simulator and the throughput projections use
-:class:`VirtualClock`, which advances only when told to, so that
-"injected" delays (hundreds of milliseconds in the paper) do not have to
-be slept for in real time during tests.
-"""
+"""Wall-clock timer used by the training runner to measure elapsed time."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 
 class Timer:
@@ -58,40 +50,3 @@ class Timer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-
-@dataclass
-class VirtualClock:
-    """A monotonically advancing virtual clock measured in seconds.
-
-    The clock never reads the system time; callers advance it explicitly.
-    It is used to attribute *simulated* compute and delay costs to a
-    training run without sleeping.
-    """
-
-    now: float = 0.0
-    _history: List[float] = field(default_factory=list)
-
-    def advance(self, dt: float) -> float:
-        """Advance the clock by ``dt`` seconds (must be non-negative)."""
-        if dt < 0:
-            raise ValueError(f"cannot advance a clock by a negative amount: {dt}")
-        self.now += dt
-        return self.now
-
-    def advance_to(self, t: float) -> float:
-        """Advance the clock to absolute time ``t`` (no-op if in the past)."""
-        if t > self.now:
-            self.now = t
-        return self.now
-
-    def checkpoint(self) -> None:
-        """Record the current time for later inspection."""
-        self._history.append(self.now)
-
-    @property
-    def checkpoints(self) -> List[float]:
-        return list(self._history)
-
-    def reset(self) -> None:
-        self.now = 0.0
-        self._history.clear()

@@ -23,9 +23,10 @@ from repro.collectives.sharding import (
     reduce_scatter,
     shard_bounds,
 )
-from repro.collectives.sync import allgather, allreduce
+from repro.collectives.sync import allgather, allreduce, allreduce_compressed_ring
 from repro.collectives.topology import HostTopology
 from repro.comm import available_backends, backend_unavailable_reason, launch
+from repro.compression import get_codec
 from repro.nn.optim import SGD, Adam, MomentumSGD
 from repro.nn.parameters import assign_flat_gradients, flatten_parameters
 from repro.training.bucketing import GradientBucketer
@@ -287,19 +288,81 @@ class TestCrossBackendConformance:
             assert all(r[algorithm][1] for r in results), algorithm
 
 
-def _ring_identity_worker(comm, n):
-    data = np.linspace(-1.0, 1.0, n) * (comm.rank + 1)
-    reference = allreduce(comm, data, algorithm="ring")
-    flat, _ = reduce_scatter(comm, data, algorithm="ring")
-    composed = allgather_flat(comm, flat, algorithm="ring")
-    return bool(np.array_equal(reference, composed))
+def _op_validation_worker(comm):
+    x = np.arange(8.0) * (comm.rank + 1)
+    refused = []
+    for kwargs in ({"codec": get_codec("fp16")}, {"average": True}):
+        try:
+            reduce_scatter(comm, x, op="max", **kwargs)
+            refused.append(False)
+        except ValueError:
+            refused.append(True)
+    flat, (lo, hi) = reduce_scatter(comm, x, op="max")
+    max_ok = bool(np.array_equal(flat[lo:hi], (np.arange(8.0) * comm.size)[lo:hi]))
+    return refused, max_ok
+
+
+class TestReduceScatterOp:
+    def test_non_sum_op_refused_with_codec_or_average(self):
+        """A codec always sums and ``average`` divides a sum: other ops fail."""
+        for refused, max_ok in launch(_op_validation_worker, 2, backend="thread"):
+            assert refused == [True, True]
+            assert max_ok
+
+
+def _split_identity_worker(comm, lengths):
+    """(allreduce, n_chunks, length) cases whose split halves differ in any bit."""
+    fp16 = get_codec("fp16")
+    # allreduce under test -> the reduce-scatter / allgather pair it splits
+    # into (plus the codec both halves carry on the wire).
+    pairs = {
+        "ring": (
+            lambda x, c: allreduce(comm, x, algorithm="ring", n_chunks=c),
+            "ring", "ring", None,
+        ),
+        "rabenseifner": (
+            lambda x, c: allreduce(comm, x, algorithm="rabenseifner", n_chunks=c),
+            "halving", "doubling", None,
+        ),
+        "compressed_ring": (
+            lambda x, c: allreduce_compressed_ring(comm, x, fp16, n_chunks=c),
+            "ring", "ring", fp16,
+        ),
+    }
+    mismatches = []
+    for name, (reference, rs_algorithm, ag_algorithm, codec) in pairs.items():
+        for n_chunks in (1, 3):
+            for n in lengths:
+                data = np.linspace(-1.0, 1.0, n) * (comm.rank + 1)
+                expected = reference(data, n_chunks)
+                flat, _ = reduce_scatter(
+                    comm, data, algorithm=rs_algorithm, n_chunks=n_chunks,
+                    codec=codec, average=codec is not None,
+                )
+                composed = allgather_flat(
+                    comm, flat, algorithm=ag_algorithm, n_chunks=n_chunks,
+                    codec=codec,
+                )
+                if not np.array_equal(
+                    expected.view(np.uint64), composed.view(np.uint64)
+                ):
+                    mismatches.append((name, n_chunks, n))
+    return mismatches
 
 
 class TestRingSplitIdentity:
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
     def test_split_phases_bitwise_match_ring_allreduce(self, size):
-        """reduce_scatter + allgather IS the ring allreduce, bit for bit."""
-        assert all(launch(_ring_identity_worker, size, 193, backend="thread"))
+        """reduce_scatter + allgather IS the allreduce, bit for bit.
+
+        Covers ring, Rabenseifner (halving/doubling) and the fp16
+        compressed ring, with 1 and 3 pipeline chunks, at a length below
+        the world size and at one that is not a multiple of it.
+        """
+        results = launch(
+            _split_identity_worker, size, (size - 1, 193), backend="thread"
+        )
+        assert results == [[]] * size
 
 
 def _allgather_out_worker(comm, n):

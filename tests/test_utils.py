@@ -15,7 +15,7 @@ from repro.utils.rng import (
     spawn_rngs,
 )
 from repro.utils.stats import DistributionSummary, Histogram, RunningStat, summarize
-from repro.utils.timer import Timer, VirtualClock
+from repro.utils.timer import Timer
 
 
 class TestRng:
@@ -155,24 +155,3 @@ class TestTimers:
         t.start()  # restartable after a clean stop
         t.stop()
 
-    def test_virtual_clock_advance(self):
-        clock = VirtualClock()
-        clock.advance(1.5)
-        clock.advance_to(1.0)  # no-op: in the past
-        assert clock.now == pytest.approx(1.5)
-        clock.advance_to(2.0)
-        assert clock.now == pytest.approx(2.0)
-
-    def test_virtual_clock_rejects_negative(self):
-        with pytest.raises(ValueError):
-            VirtualClock().advance(-1)
-
-    def test_virtual_clock_checkpoints(self):
-        clock = VirtualClock()
-        clock.advance(1.0)
-        clock.checkpoint()
-        clock.advance(2.0)
-        clock.checkpoint()
-        assert clock.checkpoints == [1.0, 3.0]
-        clock.reset()
-        assert clock.now == 0.0 and clock.checkpoints == []
