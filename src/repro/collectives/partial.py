@@ -27,6 +27,23 @@ recursive-doubling allreduce among the progress threads on the ``lib``
 channel.  Progress threads always participate immediately, so a slow
 application thread never delays the collective — it merely contributes
 null (or stale) data, which is exactly the paper's relaxation.
+
+Between rounds the progress thread waits in **one blocking receive** on
+its activation mailbox.  Four events wake it:
+
+* the application thread's arrival — :meth:`PartialAllreduce.reduce`
+  delivers an ``"arrive"`` message to its own rank on the round's tag;
+* a peer's ``"activate"`` message (or, for the quorum coordinator, a
+  peer's ``"arrival"``);
+* :meth:`PartialAllreduce.close`, which delivers a ``"stop"`` message;
+* an abort of the transport, which closes the mailbox: the resulting
+  :class:`~repro.comm.mailbox.MailboxClosed` becomes the collective's
+  failure, so a blocked :meth:`~PartialAllreduce.reduce` raises at once.
+
+The wake-ups are same-rank deliveries through the transport's router (not
+:meth:`Communicator.send`, so tracing and probes do not count them as wire
+traffic); no thread polls, so an idle collective takes no CPU — and no
+GIL — from the rank's compute.
 """
 
 from __future__ import annotations
@@ -42,7 +59,8 @@ import numpy as np
 
 from repro.comm import tags
 from repro.comm.communicator import Communicator
-from repro.comm.message import ANY_TAG
+from repro.comm.mailbox import MailboxClosed
+from repro.comm.message import Message
 from repro.comm.reduce_ops import ReduceOp, SUM, get_op
 from repro.comm.router import Channel
 from repro.collectives.sync import allreduce_recursive_doubling
@@ -122,8 +140,6 @@ class PartialAllreduce:
         consensus "by using the same seed for all the processes").
     quorum:
         Required number of arrivals in quorum mode.
-    poll_interval:
-        Sleep used by the progress thread while waiting for activation.
     overwrite_recvbuff:
         Paper-faithful receive-buffer semantics (default).  The persistent
         schedule of Section 4.1.1 reuses a single receive buffer, so a
@@ -157,7 +173,6 @@ class PartialAllreduce:
         op: ReduceOp | str = SUM,
         seed: int = 12345,
         quorum: Optional[int] = None,
-        poll_interval: float = 2e-4,
         overwrite_recvbuff: bool = True,
         dtype=np.float64,
         channel_suffix: str = "",
@@ -175,7 +190,6 @@ class PartialAllreduce:
         self.average = bool(average)
         self.op = get_op(op)
         self._payload_op = self._make_payload_op(self.op)
-        self.poll_interval = float(poll_interval)
         self.dtype = dtype
 
         if np.issubdtype(np.dtype(self.dtype), np.floating):
@@ -208,7 +222,6 @@ class PartialAllreduce:
         self._send_acc = np.zeros(self.shape, dtype=self.dtype)
         self._add_counter = 0
         self._last_arrival_round = -1
-        self._internal_rounds: set[int] = set()
         self._rounds_done = 0
         self._records: Dict[int, _RoundRecord] = {}
         self._latest_record: Optional[_RoundRecord] = None
@@ -223,6 +236,9 @@ class PartialAllreduce:
         self.stale_norm_history: List[float] = []
 
         self._depth = max(1, int(math.ceil(math.log2(self.size)))) if self.size > 1 else 0
+        # The progress thread blocks on this mailbox directly: its wait
+        # has no timeout (the communicator applies a default one).
+        self._act_box = self.comm_act.router.mailbox(self.rank, self.comm_act.channel)
         # The progress thread inherits the owning rank's flight recorder
         # (thread-local bindings do not propagate to spawned threads).
         self._recorder = _obs.current()
@@ -264,10 +280,9 @@ class PartialAllreduce:
             my_marker = self._add_counter
             self._last_arrival_round = round_index
             if round_index >= self._rounds_done:
-                # The round is still open: this rank may (or, for
-                # majority, may not) initiate it.
-                self._internal_rounds.add(round_index)
-                self._cond.notify_all()
+                # The round is still open: wake the progress thread,
+                # which may (or, for majority, may not) initiate it.
+                self._wake("arrive", round_index)
             # Wait until the progress thread has finished the round.
             deadline = None if timeout is None else time.monotonic() + timeout
             while self._rounds_done <= round_index:
@@ -278,7 +293,7 @@ class PartialAllreduce:
                         f"rank {self.rank}: partial allreduce round {round_index} "
                         f"did not complete within {timeout}s"
                     )
-                self._cond.wait(timeout=0.05 if remaining is None else min(0.05, remaining))
+                self._cond.wait(timeout=remaining)
             # Each round is consumed exactly once by the application
             # thread; popping keeps memory bounded over long trainings.
             record = self._records.pop(round_index)
@@ -320,6 +335,10 @@ class PartialAllreduce:
         with self._cond:
             self._stop = True
             self._cond.notify_all()
+            if self._thread.is_alive():
+                # The thread waits on the open round's tag; if it is
+                # mid-round instead, it sees ``_stop`` before its next wait.
+                self._wake("stop", self._rounds_done)
         self._thread.join(timeout=timeout)
 
     def __enter__(self) -> "PartialAllreduce":
@@ -327,6 +346,24 @@ class PartialAllreduce:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def _wake(self, kind: str, round_index: int) -> None:
+        """Deliver a ``kind`` message to this rank's progress thread.
+
+        Goes through the router, not :meth:`Communicator.send`: it is a
+        local signal, not wire traffic for the flight recorder to count.
+        On an aborted transport it is dropped — the blocked progress
+        thread is woken by the closed mailbox instead.
+        """
+        message = Message(
+            source=self.rank, dest=self.rank,
+            tag=self._activation_tag(round_index),
+            payload=(kind, round_index, -1, self.rank),
+        )
+        try:
+            self.comm_act.router.deliver(message, self.comm_act.channel)
+        except MailboxClosed:
+            pass
 
     def _raise_if_failed(self) -> None:
         if self._failure is not None:
@@ -474,17 +511,6 @@ class PartialAllreduce:
             self._cond.notify_all()
         return True
 
-    def _should_initiate(self, round_index: int, designated: int) -> bool:
-        """Whether this rank initiates when its application thread arrives."""
-        if self.mode is PartialMode.SOLO:
-            return True
-        if self.mode is PartialMode.MAJORITY:
-            return self.rank == designated
-        # Quorum mode: the designated coordinator initiates once enough
-        # arrival notifications (including its own) have been received;
-        # handled inside _wait_for_activation.
-        return False
-
     def _wait_for_activation(
         self, round_index: int, designated: int
     ) -> Optional[Tuple[int, int]]:
@@ -492,59 +518,48 @@ class PartialAllreduce:
 
         Returns ``(initiator, incoming_distance_class)`` where the distance
         class is ``-1`` for internal activation, or ``None`` when the
-        collective is being shut down.
-        """
-        act_tag = self._activation_tag(round_index)
-        arrivals = 0
-        arrival_sent = False
-        while True:
-            # 1) shutdown?
-            with self._lock:
-                if self._stop:
-                    return None
-                internally_arrived = round_index in self._internal_rounds
+        collective is being shut down.  Each pass is one blocking receive
+        of any message (see the module docstring for what wakes it); a
+        closed mailbox raises :class:`MailboxClosed` out of the progress
+        thread.
 
-            # 2) quorum-mode arrival notifications.
-            if self.mode is PartialMode.QUORUM and internally_arrived and not arrival_sent:
-                arrival_sent = True
-                if self.rank == designated:
-                    arrivals += 1
-                else:
-                    self.comm_act.send(
-                        ("arrival", round_index, self.rank),
-                        designated,
-                        tag=self._arrival_tag(round_index),
-                    )
-            if self.mode is PartialMode.QUORUM and self.rank == designated:
-                while True:
-                    msg = self.comm_act.poll(tag=self._arrival_tag(round_index))
-                    if msg is None:
-                        break
-                    arrivals += 1
+        Messages of earlier rounds are dropped here, so they never pile
+        up: duplicate activations (solo mode: several initiators),
+        ``"arrive"`` and ``"stop"`` signals that found their round already
+        running, and quorum arrivals that came after the quorum was met.
+        No message of a *later* round can be queued yet: no peer finishes
+        this round without this rank, and the application thread enters
+        the next round only after this one completes.
+        """
+        with self._lock:
+            if self._stop:
+                return None
+        coordinator = self.mode is PartialMode.QUORUM and self.rank == designated
+        arrivals = 0
+        while True:
+            kind, msg_round, distance, origin = self._act_box.get().payload
+            if msg_round != round_index:
+                continue
+            if kind == "activate":
+                return (int(origin), int(distance))
+            if kind == "stop":
+                return None
+            # An "arrive" from the application thread, or (coordinator
+            # only) a peer's "arrival".  Solo initiates at once; majority
+            # only on the designated rank; quorum forwards the arrival to
+            # the coordinator, which initiates once it has counted enough.
+            if coordinator:
+                arrivals += 1
                 if arrivals >= int(self.quorum or 1):
                     return (self.rank, -1)
-
-            # 3) internal activation (solo: always; majority: designated only).
-            if internally_arrived and self._should_initiate(round_index, designated):
+            elif self.mode is PartialMode.QUORUM:
+                self.comm_act.send(
+                    ("arrival", round_index, -1, self.rank),
+                    designated,
+                    tag=self._arrival_tag(round_index),
+                )
+            elif self.mode is PartialMode.SOLO or self.rank == designated:
                 return (self.rank, -1)
-
-            # 4) external activation message for this round.
-            msg = self.comm_act.poll(tag=act_tag)
-            if msg is not None:
-                kind, _round, distance, initiator = msg
-                if kind == "activate":
-                    return (int(initiator), int(distance))
-
-            # 5) drain stale activation duplicates from earlier rounds so
-            #    they do not accumulate in the mailbox forever.
-            self._drain_stale_activations(round_index)
-
-            time.sleep(self.poll_interval)
-
-    def _drain_stale_activations(self, current_round: int) -> None:
-        for old in range(max(0, current_round - 4), current_round):
-            while self.comm_act.poll(tag=self._activation_tag(old)) is not None:
-                pass
 
     def _forward_activation(
         self, round_index: int, initiator: int, incoming_distance: int

@@ -408,6 +408,7 @@ class MeshEndpoint:
             self._byte_count += message.nbytes()
         if message.dest == self.rank:
             self.mailbox(self.rank, channel).put(message)
+            self._notify_local_delivery()
             return
         if message.dest in self._departed:
             # The peer already finished and tore its transport down; like
@@ -417,6 +418,14 @@ class MeshEndpoint:
 
     def _send_frame(self, message: Message, channel: str) -> None:
         raise NotImplementedError
+
+    def _notify_local_delivery(self) -> None:
+        """Hook run after a same-rank ``put``.
+
+        The ``put`` notifies the mailbox condition, which is where a
+        socket-transport receiver blocks; a transport whose receivers
+        park elsewhere wakes them here.
+        """
 
     # ------------------------------------------------------------- stats
     @property

@@ -682,6 +682,12 @@ class ShmEndpoint(MeshEndpoint):
         self._send_locks[peer] = threading.Lock()
 
     # --------------------------------------------------------------- send
+    def _notify_local_delivery(self) -> None:
+        # A receiver blocked in recv may be parked on our data doorbell
+        # (not the mailbox condition); ring it so a same-rank send wakes
+        # it at once instead of at the end of its park slice.
+        self._data_event.ring()
+
     def _send_frame(self, message: Message, channel: str) -> None:
         dest = message.dest
         ring = self._outbound.get(dest)

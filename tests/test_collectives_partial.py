@@ -1,11 +1,15 @@
 """Tests for partial collectives: solo, majority and quorum allreduce."""
 
+import multiprocessing
+import os
 import time
 
 import numpy as np
 import pytest
 
-from repro.comm import launch
+from repro.comm import WorldError, launch
+from repro.comm.mailbox import Mailbox
+from repro.comm.router import Channel
 from repro.collectives import (
     MajorityAllreduce,
     PartialMode,
@@ -196,6 +200,88 @@ class TestSemantics:
             return True
 
         assert all(launch(worker, 2))
+
+
+def _crash_after_one_round(comm):
+    """Rank 1 dies after a warm round; rank 0 keeps reducing."""
+    partial = MajorityAllreduce(comm, (4,), seed=7)
+    partial.reduce(np.ones(4), timeout=None)
+    if comm.rank == 1:
+        os._exit(3)
+    while True:
+        partial.reduce(np.ones(4), timeout=None)
+
+
+class TestProgressThread:
+    """The progress thread waits on its mailbox: no polling, no leaks."""
+
+    def test_dead_peer_ends_run_promptly(self):
+        start = time.monotonic()
+        with pytest.raises(WorldError) as excinfo:
+            launch(_crash_after_one_round, 2, backend="process", timeout=60)
+        elapsed = time.monotonic() - start
+        # The survivor's blocked reduce() must fail on the abort, not sit
+        # out the launcher's grace period until it is killed.
+        assert elapsed < 3.0, f"WorldError after {elapsed:.2f}s"
+        assert "rank 1" in str(excinfo.value.failures[1])
+        assert multiprocessing.active_children() == []
+
+    def test_idle_progress_thread_does_not_spin(self, monkeypatch):
+        calls = []
+
+        def counted(method):
+            def wrapper(self, *args, **kwargs):
+                if self.channel.startswith(Channel.ACTIVATION):
+                    calls.append(self.owner_rank)
+                return method(self, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(Mailbox, "get", counted(Mailbox.get))
+        monkeypatch.setattr(Mailbox, "poll", counted(Mailbox.poll))
+
+        def worker(comm):
+            partial = MajorityAllreduce(comm, (4,), seed=3)
+            partial.reduce(np.ones(4))
+            comm.barrier()
+            before = len(calls)
+            time.sleep(0.5)
+            idle_calls = len(calls) - before
+            comm.barrier()
+            partial.close()
+            return idle_calls
+
+        # Both ranks count every rank's calls, so each sees the world total.
+        assert max(launch(worker, 2, backend="thread")) <= 50
+
+    def test_wakeup_messages_do_not_leak(self):
+        """Duplicate activations and unconsumed wake-ups are dropped.
+
+        Rotating per-rank skew makes several ranks initiate some rounds
+        (duplicate activations) and lets "arrive" signals land on rounds
+        that are already running.  Once the progress threads are parked
+        in the next round's wait, the mailbox holds (almost) nothing, no
+        matter how many rounds ran; if leftovers were kept it would grow
+        by a few messages per round.
+        """
+        size = 4
+
+        def worker(comm):
+            partial = SoloAllreduce(comm, (4,), seed=11)
+            box = comm.router.mailbox(comm.rank, partial.comm_act.channel)
+            pending = []
+            for t in range(60):
+                time.sleep(((comm.rank + t) % comm.size) * 0.001)
+                partial.reduce(np.ones(4))
+                if t + 1 in (20, 60):
+                    comm.barrier()
+                    time.sleep(0.05)
+                    pending.append(box.pending())
+            partial.close()
+            return pending
+
+        for rank, (after_20, after_60) in enumerate(launch(worker, size)):
+            assert after_20 <= size and after_60 <= size, (rank, after_20, after_60)
 
 
 class TestScheduleBasedSoloAllreduce:

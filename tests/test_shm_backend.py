@@ -9,6 +9,9 @@ stale-segment sweep keyed on dead PIDs), and the backend options.
 """
 
 import os
+import statistics
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +138,37 @@ class TestTransport:
 
     def test_world_size_one_needs_no_segments(self):
         assert launch(lambda comm: comm.size, 1, backend="shm") == [1]
+
+    def test_same_rank_send_wakes_parked_receiver(self):
+        """A receiver parked on the data doorbell wakes on a local send.
+
+        The receiving thread blocks first (parking on the rank's doorbell,
+        where a same-rank ``put`` alone would not reach it); another thread
+        of the same rank sends to it 20 ms later.  P = 2 keeps an inbound
+        ring open, so the receiver really parks.
+        """
+
+        def worker(comm, tries):
+            latencies = []
+            for i in range(tries):
+                woke = {}
+
+                def receive(tag=i + 1):
+                    comm.recv(source=comm.rank, tag=tag, timeout=10)
+                    woke["at"] = time.perf_counter()
+
+                receiver = threading.Thread(target=receive)
+                receiver.start()
+                time.sleep(0.02)
+                sent = time.perf_counter()
+                comm.send(i, comm.rank, tag=i + 1)
+                receiver.join()
+                latencies.append(woke["at"] - sent)
+            comm.barrier()
+            return statistics.median(latencies)
+
+        medians = launch(worker, 2, 12, backend="shm", timeout=120)
+        assert max(medians) < 0.005, medians
 
 
 @needs_shm
