@@ -1,11 +1,31 @@
-"""Setup shim.
+"""Packaging metadata for the ``repro`` package.
 
-The canonical project metadata lives in ``pyproject.toml``.  This file
-exists so that ``pip install -e .`` works in fully offline environments
-where the ``wheel`` package (required by PEP 660 editable installs) is not
-available: pip then falls back to the legacy ``setup.py develop`` path.
+This file is the project's only packaging metadata.  The version is read
+from ``src/repro/_version.py`` so it has one definition.  Without the
+``wheel`` package (required by PEP 660 editable installs), pip falls back
+to the legacy ``setup.py develop`` path.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+_VERSION_FILE = Path(__file__).resolve().parent / "src" / "repro" / "_version.py"
+_match = re.search(
+    r'^__version__\s*=\s*["\']([^"\']+)["\']', _VERSION_FILE.read_text(), re.M
+)
+if _match is None:
+    raise RuntimeError(f"no __version__ found in {_VERSION_FILE}")
+
+setup(
+    name="repro",
+    version=_match.group(1),
+    description=(
+        "Eager-SGD partial collectives (solo/majority allreduce) and the "
+        "distributed training system around them"
+    ),
+    package_dir={"": "src"},
+    packages=find_packages(where="src"),
+    install_requires=["numpy"],
+)

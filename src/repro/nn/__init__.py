@@ -47,6 +47,7 @@ from repro.nn.parameters import (
     flatten_gradients,
     assign_flat_parameters,
     assign_flat_gradients,
+    bind_flat_storage,
     parameter_count,
 )
 from repro.nn.metrics import topk_accuracy, accuracy
@@ -86,6 +87,7 @@ __all__ = [
     "flatten_gradients",
     "assign_flat_parameters",
     "assign_flat_gradients",
+    "bind_flat_storage",
     "parameter_count",
     "topk_accuracy",
     "accuracy",

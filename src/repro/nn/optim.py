@@ -83,6 +83,9 @@ class Optimizer:
         self.module = module
         self.schedule = _as_schedule(lr)
         self.step_count = 0
+        # Work space of the in-place update kernels, grown on demand and
+        # reused every step; not optimizer state (never saved or counted).
+        self._scratch_buffer = np.empty(0)
 
     @property
     def parameters(self) -> List[Parameter]:
@@ -101,7 +104,8 @@ class Optimizer:
         self.step_count += 1
 
     def _apply(self, lr: float) -> None:
-        raise NotImplementedError
+        for param in self.parameters:
+            self._update(param.data, param.grad, id(param), False, lr)
 
     # ------------------------------------------------------------ sharding
     def step_windows(
@@ -113,14 +117,16 @@ class Optimizer:
         """One update step applied to *owned* parameter windows only (ZeRO-1).
 
         ``params[i]`` is a writable view of a flat-parameter window,
-        ``grads[i]`` the matching (already reduced and averaged)
-        gradient window, and ``keys[i]`` a stable identifier — the
-        exchange uses ``"lo:hi"`` in global flat coordinates — that the
-        lazily allocated per-window state (momentum, moments) is keyed
-        by.  Because every update rule here is elementwise, applying it
-        to windows of the flat vector is bit-identical to the per-parameter
-        :meth:`step`; a rank therefore only ever materialises state for
-        the ~1/P of the model it owns.  Counts as one step.
+        updated in place; ``grads[i]`` the matching (already reduced and
+        averaged) gradient window, only read; and ``keys[i]`` a stable
+        identifier — the exchange uses ``"lo:hi"`` in global flat
+        coordinates — that the lazily allocated per-window state
+        (momentum, moments) is keyed by.  Both paths run the same
+        in-place update kernel, and every rule here is elementwise, so
+        applying it to windows of the flat vector is bit-identical to the
+        per-parameter :meth:`step`; a rank therefore only ever
+        materialises state for the ~1/P of the model it owns.  Counts as
+        one step.
         """
         if not (len(params) == len(grads) == len(keys)):
             raise ValueError(
@@ -135,11 +141,43 @@ class Optimizer:
                     f"but gradient window has {grad.shape}"
                 )
             if param.size:
-                self._apply_window(param, grad, str(key), lr)
+                self._update(param, grad, str(key), True, lr)
         self.step_count += 1
 
-    def _apply_window(self, param: np.ndarray, grad: np.ndarray, key: str, lr: float) -> None:
+    def _update(
+        self, param: np.ndarray, grad: np.ndarray, key, windowed: bool, lr: float
+    ) -> None:
+        """The update rule: modify ``param`` (and the state under ``key``) in place.
+
+        ``key`` is ``id(parameter)`` for :meth:`step` and the window key
+        for :meth:`step_windows` (``windowed``); ``grad`` is never
+        written.
+        """
         raise NotImplementedError
+
+    def _state(self, slot: str, key, windowed: bool, like: np.ndarray) -> np.ndarray:
+        """The ``slot`` state array under ``key``, zero-initialised on first use."""
+        store = self._slot_store(slot, windowed)
+        arr = store.get(key)
+        if arr is None:
+            arr = store[key] = np.zeros_like(like)
+        return arr
+
+    def _scratch(self, like: np.ndarray, count: int) -> List[np.ndarray]:
+        """``count`` disjoint work arrays shaped like ``like``, from one buffer.
+
+        They follow ``like``'s memory order: mixing a Fortran-ordered
+        parameter (the LSTM's weights) with C-ordered work arrays sends
+        every elementwise kernel down a strided loop several times slower.
+        """
+        n = like.size
+        if self._scratch_buffer.size < n * count:
+            self._scratch_buffer = np.empty(n * count)
+        order = "F" if like.flags.f_contiguous and not like.flags.c_contiguous else "C"
+        return [
+            self._scratch_buffer[i * n : (i + 1) * n].reshape(like.shape, order=order)
+            for i in range(count)
+        ]
 
     # ------------------------------------------------------------ state
     #: Names of this optimizer's per-entry state arrays (e.g.
@@ -238,17 +276,16 @@ class SGD(Optimizer):
             raise ValueError("weight_decay must be non-negative")
         self.weight_decay = weight_decay
 
-    def _apply(self, lr: float) -> None:
-        for param in self.parameters:
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            param.data -= lr * grad
-
-    def _apply_window(self, param: np.ndarray, grad: np.ndarray, key: str, lr: float) -> None:
+    def _update(self, param, grad, key, windowed, lr) -> None:
+        (step,) = self._scratch(param, 1)
         if self.weight_decay:
-            grad = grad + self.weight_decay * param
-        param -= lr * grad
+            # grad + weight_decay * param, then lr * that.
+            np.multiply(param, self.weight_decay, out=step)
+            step += grad
+            step *= lr
+        else:
+            np.multiply(grad, lr, out=step)
+        param -= step
 
 
 class MomentumSGD(Optimizer):
@@ -280,29 +317,25 @@ class MomentumSGD(Optimizer):
             raise KeyError(slot)
         return self._window_velocity if windowed else self._velocity
 
-    def _apply(self, lr: float) -> None:
-        for param in self.parameters:
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            vel = self._velocity.get(id(param))
-            if vel is None:
-                vel = np.zeros_like(param.data)
-            vel = self.momentum * vel + grad
-            self._velocity[id(param)] = vel
-            update = grad + self.momentum * vel if self.nesterov else vel
-            param.data -= lr * update
-
-    def _apply_window(self, param: np.ndarray, grad: np.ndarray, key: str, lr: float) -> None:
+    def _update(self, param, grad, key, windowed, lr) -> None:
+        g, step = self._scratch(param, 2)
         if self.weight_decay:
-            grad = grad + self.weight_decay * param
-        vel = self._window_velocity.get(key)
-        if vel is None:
-            vel = np.zeros_like(param)
-        vel = self.momentum * vel + grad
-        self._window_velocity[key] = vel
-        update = grad + self.momentum * vel if self.nesterov else vel
-        param -= lr * update
+            np.multiply(param, self.weight_decay, out=g)
+            g += grad
+        else:
+            g = grad
+        vel = self._state("velocity", key, windowed, param)
+        # vel = momentum * vel + g
+        vel *= self.momentum
+        vel += g
+        if self.nesterov:
+            # lr * (g + momentum * vel)
+            np.multiply(vel, self.momentum, out=step)
+            step += g
+            step *= lr
+        else:
+            np.multiply(vel, lr, out=step)
+        param -= step
 
 
 class Adam(Optimizer):
@@ -338,38 +371,29 @@ class Adam(Optimizer):
             return self._window_v if windowed else self._v
         raise KeyError(slot)
 
-    def _apply(self, lr: float) -> None:
+    def _update(self, param, grad, key, windowed, lr) -> None:
         t = self.step_count + 1
-        for param in self.parameters:
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m = self._m.get(id(param))
-            v = self._v.get(id(param))
-            if m is None:
-                m = np.zeros_like(param.data)
-                v = np.zeros_like(param.data)
-            m = self.beta1 * m + (1 - self.beta1) * grad
-            v = self.beta2 * v + (1 - self.beta2) * grad**2
-            self._m[id(param)] = m
-            self._v[id(param)] = v
-            m_hat = m / (1 - self.beta1**t)
-            v_hat = v / (1 - self.beta2**t)
-            param.data -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def _apply_window(self, param: np.ndarray, grad: np.ndarray, key: str, lr: float) -> None:
-        t = self.step_count + 1
+        a, b = self._scratch(param, 2)
         if self.weight_decay:
-            grad = grad + self.weight_decay * param
-        m = self._window_m.get(key)
-        v = self._window_v.get(key)
-        if m is None:
-            m = np.zeros_like(param)
-            v = np.zeros_like(param)
-        m = self.beta1 * m + (1 - self.beta1) * grad
-        v = self.beta2 * v + (1 - self.beta2) * grad**2
-        self._window_m[key] = m
-        self._window_v[key] = v
-        m_hat = m / (1 - self.beta1**t)
-        v_hat = v / (1 - self.beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(param, self.weight_decay, out=a)
+            a += grad
+            grad = a
+        m = self._state("m", key, windowed, param)
+        v = self._state("v", key, windowed, param)
+        # m = beta1 * m + (1 - beta1) * grad
+        m *= self.beta1
+        np.multiply(grad, 1 - self.beta1, out=b)
+        m += b
+        # v = beta2 * v + (1 - beta2) * grad**2
+        np.multiply(grad, grad, out=b)
+        b *= 1 - self.beta2
+        v *= self.beta2
+        v += b
+        # param -= lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(m, 1 - self.beta1**t, out=b)
+        b *= lr
+        np.divide(v, 1 - self.beta2**t, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        b /= a
+        param -= b

@@ -6,15 +6,22 @@ reproduction likewise operate on one flat ``float64`` vector per step.
 These helpers define a stable parameter ordering (sorted hierarchical
 names), pack/unpack the vectors and provide the parameter count reported
 in Table 1 of the paper.
+
+:func:`bind_flat_storage` goes one step further and makes the flat
+vectors the model's *storage*: every ``Parameter.data`` / ``.grad``
+becomes a reshaped view of one contiguous parameter vector and one
+contiguous gradient vector, so a bucketed collective can reduce and
+update slices of them in place instead of packing copies (the
+gradient-as-bucket-view layout of PyTorch DDP and ZeRO).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import Module, Parameter
 
 
 def _ordered_named_parameters(module: Module) -> List[Tuple[str, "np.ndarray"]]:
@@ -45,6 +52,79 @@ def flatten_gradients(module: Module) -> np.ndarray:
     if not named:
         return np.zeros(0)
     return np.concatenate([p.grad.reshape(-1) for _, p in named])
+
+
+def _bound_storage(
+    named: List[Tuple[str, Parameter]]
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The flat ``(params, grads)`` vectors ``named`` is bound to, if any.
+
+    A module is bound when every parameter's ``.data`` and ``.grad`` are
+    contiguous views of two 1-D ``float64`` vectors, at the parameter's
+    canonical offset, and the vectors hold nothing else.
+    """
+    if not named:
+        return None
+    params, grads = named[0][1].data.base, named[0][1].grad.base
+    for vector in (params, grads):
+        if not (
+            isinstance(vector, np.ndarray)
+            and vector.ndim == 1
+            and vector.dtype == np.float64
+            and vector.flags.c_contiguous
+        ):
+            return None
+    p_ptr = params.__array_interface__["data"][0]
+    g_ptr = grads.__array_interface__["data"][0]
+    offset = 0
+    for _, param in named:
+        data, grad = param.data, param.grad
+        if not (
+            data.base is params
+            and grad.base is grads
+            and data.flags.c_contiguous
+            and grad.flags.c_contiguous
+            and data.__array_interface__["data"][0] == p_ptr + 8 * offset
+            and grad.__array_interface__["data"][0] == g_ptr + 8 * offset
+        ):
+            return None
+        offset += data.size
+    if offset != params.size or offset != grads.size:
+        return None
+    return params, grads
+
+
+def bind_flat_storage(module: Module) -> Tuple[np.ndarray, np.ndarray]:
+    """Move the module's parameters and gradients into two flat vectors.
+
+    Returns ``(params, grads)``: contiguous ``float64`` vectors in the
+    canonical (sorted-name) order of :func:`flatten_parameters`.  Every
+    ``Parameter.data`` / ``.grad`` is rebound to a reshaped view of its
+    slice, values and gradients preserved bitwise, so in-place writes to
+    either vector *are* writes to the model and vice versa.  Idempotent:
+    an already bound module returns its existing vectors untouched.
+
+    Arrays a caller captured from ``param.data`` / ``param.grad`` before
+    the first bind still hold the old, now detached storage.
+    """
+    named = _ordered_named_parameters(module)
+    bound = _bound_storage(named)
+    if bound is not None:
+        return bound
+    if len({id(param) for _, param in named}) != len(named):
+        raise ValueError("cannot bind a module that shares one Parameter under two names")
+    total = sum(param.size for _, param in named)
+    params = np.empty(total, dtype=np.float64)
+    grads = np.empty(total, dtype=np.float64)
+    offset = 0
+    for _, param in named:
+        shape, n = param.data.shape, param.size
+        params[offset : offset + n] = param.data.reshape(-1)
+        grads[offset : offset + n] = param.grad.reshape(-1)
+        param.data = params[offset : offset + n].reshape(shape)
+        param.grad = grads[offset : offset + n].reshape(shape)
+        offset += n
+    return params, grads
 
 
 def unflatten_parameters(module: Module, flat: np.ndarray) -> Dict[str, np.ndarray]:

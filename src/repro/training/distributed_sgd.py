@@ -13,7 +13,11 @@ from repro.nn.metrics import topk_accuracy
 from repro.obs import recorder as _obs
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
-from repro.nn.parameters import assign_flat_gradients, flatten_gradients
+from repro.nn.parameters import (
+    assign_flat_gradients,
+    bind_flat_storage,
+    flatten_gradients,
+)
 from repro.theory.staleness import QuorumTracker, StalenessTracker
 from repro.training.exchange import ExchangeResult, GradientExchange
 
@@ -136,11 +140,16 @@ class DistributedSGD:
         if pre_exchange_sleep > 0:
             time.sleep(pre_exchange_sleep)
 
-        flat = flatten_gradients(self.model)
+        if self.exchange.updates_parameters:
+            # The sharded exchange reduces the model's own flat gradient
+            # storage in place, so there is nothing to flatten.
+            flat = bind_flat_storage(self.model)[1]
+        else:
+            flat = flatten_gradients(self.model)
         if self.gradient_clip is not None:
             norm = float(np.linalg.norm(flat))
             if norm > self.gradient_clip > 0:
-                flat = flat * (self.gradient_clip / norm)
+                flat *= self.gradient_clip / norm
 
         if self.exchange.updates_parameters:
             # Sharded (ZeRO-1) exchange: the collective pipeline applies

@@ -116,7 +116,7 @@ from repro.collectives.sync import (
     resolve_host_topology,
 )
 from repro.compression import BucketCompressor, GradientCodec, resolve_codec
-from repro.nn.parameters import assign_flat_parameters, flatten_parameters
+from repro.nn.parameters import bind_flat_storage
 from repro.obs import recorder as _obs
 from repro.training.bucketing import GradientBucketer
 from repro.tuning.autotune import TunedPlan
@@ -241,12 +241,11 @@ class _BucketedExchange(GradientExchange):
     """Fusion-bucket plumbing shared by the two synchronous exchanges.
 
     Validates and resolves the fusion knobs (``plan`` wins over the
-    explicit ones), discovers the transport's host topology, builds the
-    bucketer lazily on the first gradient, and keeps persistent fusion
-    buffers so each exchange pays a copy into warm pages instead of
-    fresh allocations (and their page faults) per bucket.  The per-step
-    loops stay in the subclasses: they differ in where the optimizer
-    runs.
+    explicit ones), discovers the transport's host topology and builds
+    the bucketer lazily on the first gradient.  The per-step loops stay
+    in the subclasses: they differ in where the optimizer runs and in
+    what a fusion buffer is (a persistent packed copy for the allreduce,
+    a slice of the model's flat storage for the sharded exchange).
     """
 
     def __init__(
@@ -278,7 +277,6 @@ class _BucketedExchange(GradientExchange):
         self.codec = resolve_codec(compression, compression_options)
         self._bucketer = bucketer
         self._step = 0
-        self._pack_buffers: Optional[List[np.ndarray]] = None
 
     def _ensure_bucketer(self, num_parameters: int) -> GradientBucketer:
         if self._bucketer is None:
@@ -292,13 +290,6 @@ class _BucketedExchange(GradientExchange):
                 f"exchange's bucketer covers {self._bucketer.num_elements}"
             )
         return self._bucketer
-
-    def _pack_gradient(self, flat: np.ndarray, bucketer: GradientBucketer) -> List[np.ndarray]:
-        """Pack ``flat`` into the persistent fusion buffers."""
-        with _obs.span("bucket-pack", "exchange", nbytes=flat.nbytes,
-                       buckets=bucketer.num_buckets):
-            self._pack_buffers = bucketer.pack(flat, out=self._pack_buffers)
-        return self._pack_buffers
 
 
 class SynchronousExchange(_BucketedExchange):
@@ -362,6 +353,16 @@ class SynchronousExchange(_BucketedExchange):
         self.algorithm = algorithm
         self._compressor = None if self.codec is None else BucketCompressor(self.codec)
         self.name = f"sync-{style}"
+        # Persistent fusion buffers: each exchange pays a copy into warm
+        # pages instead of fresh allocations (and their page faults).
+        self._pack_buffers: Optional[List[np.ndarray]] = None
+
+    def _pack_gradient(self, flat: np.ndarray, bucketer: GradientBucketer) -> List[np.ndarray]:
+        """Pack ``flat`` into the persistent fusion buffers."""
+        with _obs.span("bucket-pack", "exchange", nbytes=flat.nbytes,
+                       buckets=bucketer.num_buckets):
+            self._pack_buffers = bucketer.pack(flat, out=self._pack_buffers)
+        return self._pack_buffers
 
     def _negotiated_order(self, num_buckets: int) -> List[int]:
         """Horovod-style negotiation: consensus on the bucket issue order.
@@ -536,6 +537,20 @@ class ShardedExchange(_BucketedExchange):
     ``tests/test_sharded_training.py`` holds this to word-for-word
     equality.
 
+    **Flat storage.**  The first :meth:`exchange_update` binds the model
+    with :func:`~repro.nn.parameters.bind_flat_storage`: parameters and
+    gradients move into two contiguous ``float64`` vectors and every
+    ``Parameter.data`` / ``.grad`` becomes a view of its slice.  Fusion
+    bucket *b* is then ``[bucket.start:bucket.stop]`` of that storage:
+    the reduce-scatter reduces the gradient slice in place, the
+    optimizer updates the owned windows of the parameter slice in
+    place, and the allgather refills the parameter slice in place, so
+    the step packs and unpacks nothing.  ``.data`` arrays a caller
+    captured before the first step are stale afterwards (they hold the
+    detached pre-binding storage), and after a step ``param.grad`` holds
+    the reduced values of the owned windows (partial sums elsewhere),
+    not the local gradient.
+
     Parameters mirror :class:`SynchronousExchange` where they overlap.
     ``algorithm`` is a sharded-collective name (``"ring"``, ``"halving"``,
     ``"hierarchical"``); on a multi-host topology every bucket is routed
@@ -588,7 +603,6 @@ class ShardedExchange(_BucketedExchange):
                     f"only, got algorithm {algorithm!r}"
                 )
         self.name = "sync-zero1"
-        self._param_buffers: Optional[List[np.ndarray]] = None
         self._windows: Optional[List[List[Tuple[int, int]]]] = None
 
     def _ensure_windows(self, bucketer: GradientBucketer) -> List[List[Tuple[int, int]]]:
@@ -614,9 +628,23 @@ class ShardedExchange(_BucketedExchange):
         parameters hold the post-step values on every rank (the trainer
         must not run ``optimizer.step()`` again).  ``optimizer`` state is
         allocated for the owned windows only.
+
+        The first call binds ``model`` to flat storage (see the class
+        docstring).  Passing the bound gradient vector itself as
+        ``flat_gradient`` (as
+        :class:`~repro.training.distributed_sgd.DistributedSGD` does)
+        skips the one copy into that storage.
         """
         start = time.perf_counter()
+        params, grads = bind_flat_storage(model)
         flat = np.asarray(flat_gradient, dtype=np.float64)
+        if flat.size != grads.size:
+            raise ValueError(
+                f"model has {grads.size} parameters but the flat "
+                f"gradient has {flat.size} elements"
+            )
+        if flat is not grads:
+            np.copyto(grads, flat.reshape(-1))
         bucketer = self._ensure_bucketer(flat.size)
         windows = self._ensure_windows(bucketer)
         rank = self._inner_comm.rank
@@ -624,34 +652,30 @@ class ShardedExchange(_BucketedExchange):
         topology = (
             self.host_topology if self.algorithm == "hierarchical" else None
         )
-        buffers = self._pack_gradient(flat, bucketer)
-        flat_params = flatten_parameters(model)
-        if flat_params.size != flat.size:
-            raise ValueError(
-                f"model has {flat_params.size} parameters but the flat "
-                f"gradient has {flat.size} elements"
-            )
-        with _obs.span("param-pack", "exchange", nbytes=flat_params.nbytes):
-            params = bucketer.pack(flat_params, out=self._param_buffers)
-        self._param_buffers = params
 
         bucket_waits = [0.0] * bucketer.num_buckets
-        for b in range(bucketer.num_buckets):
+        for b, bucket in enumerate(bucketer.buckets):
             bucket_start = time.perf_counter()
-            if buffers[b].size:
+            grad_bucket = grads[bucket.start : bucket.stop]
+            if grad_bucket.size:
                 with _obs.span("shard-scatter", "exchange", bucket=b,
-                               nbytes=buffers[b].nbytes):
-                    buffers[b], _window = reduce_scatter(
+                               nbytes=grad_bucket.nbytes):
+                    reduced, _window = reduce_scatter(
                         self.comm,
-                        buffers[b],
+                        grad_bucket,
                         average=True,
                         algorithm=self.algorithm,
                         n_chunks=self.pipeline_chunks,
-                        # The packed fusion buffer is owned by this
-                        # exchange; reduce it in place.
+                        # The bucket is a slice of the model's gradient
+                        # storage; reduce it in place.
                         copy=False,
                         codec=self.codec,
                         topology=topology,
+                    )
+                if not np.shares_memory(reduced, grad_bucket):
+                    raise RuntimeError(
+                        f"reduce_scatter returned a copy of bucket {b} instead "
+                        f"of reducing the gradient storage in place"
                     )
             bucket_waits[b] = time.perf_counter() - bucket_start
 
@@ -661,12 +685,13 @@ class ShardedExchange(_BucketedExchange):
         for b, bucket in enumerate(bucketer.buckets):
             lo, hi = windows[b][rank]
             if hi > lo:
-                param_views.append(params[b][lo:hi])
-                grad_views.append(buffers[b][lo:hi])
                 # Global flat coordinates: stable across steps and across
                 # re-bucketing-free restarts, so per-window optimizer
                 # state survives checkpoint round-trips.
-                keys.append(f"{bucket.start + lo}:{bucket.start + hi}")
+                glo, ghi = bucket.start + lo, bucket.start + hi
+                param_views.append(params[glo:ghi])
+                grad_views.append(grads[glo:ghi])
+                keys.append(f"{glo}:{ghi}")
         with _obs.span("shard-update", "exchange", windows=len(keys)):
             # Every rank calls step_windows — also with zero owned windows
             # (e.g. the fold's extra ranks under "halving") — so the step
@@ -674,22 +699,21 @@ class ShardedExchange(_BucketedExchange):
             optimizer.step_windows(param_views, grad_views, keys)
 
         ag_algorithm = ALLGATHER_FOR_REDUCE_SCATTER[self.algorithm]
-        for b in range(bucketer.num_buckets):
+        for b, bucket in enumerate(bucketer.buckets):
             bucket_start = time.perf_counter()
-            if params[b].size:
+            param_bucket = params[bucket.start : bucket.stop]
+            if param_bucket.size:
                 with _obs.span("shard-gather", "exchange", bucket=b,
-                               nbytes=params[b].nbytes):
+                               nbytes=param_bucket.nbytes):
                     allgather_flat(
                         self.comm,
-                        params[b],
+                        param_bucket,
                         algorithm=ag_algorithm,
                         n_chunks=self.pipeline_chunks,
                         codec=self.codec,
                         topology=topology,
                     )
             bucket_waits[b] += time.perf_counter() - bucket_start
-        with _obs.span("param-unpack", "exchange", nbytes=flat_params.nbytes):
-            assign_flat_parameters(model, bucketer.unpack(params))
 
         self._step += 1
         return ExchangeResult(

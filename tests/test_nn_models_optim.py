@@ -20,6 +20,7 @@ from repro.nn import (
     accuracy,
     assign_flat_gradients,
     assign_flat_parameters,
+    bind_flat_storage,
     flatten_gradients,
     flatten_parameters,
     parameter_count,
@@ -203,6 +204,184 @@ class TestOptimizers:
             model.backward(grad)
             opt.step()
         assert loss < first * 0.5
+
+
+def _reference_step(kind, params, grads, state, t, lr, hp):
+    """The update rules as plain out-of-place formulas (one entry per array)."""
+    out = []
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if hp.get("weight_decay"):
+            g = g + hp["weight_decay"] * p
+        if kind == "sgd":
+            p = p - lr * g
+        elif kind == "momentum":
+            vel = state.get(i, np.zeros_like(p))
+            vel = hp["momentum"] * vel + g
+            state[i] = vel
+            update = g + hp["momentum"] * vel if hp.get("nesterov") else vel
+            p = p - lr * update
+        else:
+            m, v = state.get(i, (np.zeros_like(p), np.zeros_like(p)))
+            m = 0.9 * m + (1 - 0.9) * g
+            v = 0.999 * v + (1 - 0.999) * g**2
+            state[i] = (m, v)
+            m_hat = m / (1 - 0.9**t)
+            v_hat = v / (1 - 0.999**t)
+            p = p - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        out.append(p)
+    return out
+
+
+_PINNED_RULES = [
+    ("sgd", {}),
+    ("sgd", {"weight_decay": 0.01}),
+    ("momentum", {"momentum": 0.9}),
+    ("momentum", {"momentum": 0.9, "nesterov": True}),
+    ("momentum", {"momentum": 0.8, "nesterov": True, "weight_decay": 0.01}),
+    ("adam", {}),
+    ("adam", {"weight_decay": 0.01}),
+]
+
+
+def _make_optimizer(kind, model, lr, hp):
+    if kind == "sgd":
+        return SGD(model, lr, **hp)
+    if kind == "momentum":
+        return MomentumSGD(model, lr, **hp)
+    return Adam(model, lr, **hp)
+
+
+class TestUpdateRulesPinned:
+    """The in-place kernels reproduce the out-of-place formulas bit for bit."""
+
+    @pytest.mark.parametrize("kind,hp", _PINNED_RULES)
+    def test_dense_step_matches_formulas(self, kind, hp):
+        rng = np.random.default_rng(7)
+        model = MLPClassifier(6, (5,), 3, seed=0)
+        opt = _make_optimizer(kind, model, 0.05, hp)
+        params = [p.data.copy() for p in model.parameters()]
+        state = {}
+        for t in range(1, 5):
+            grads = [rng.standard_normal(p.shape) for p in params]
+            for param, grad in zip(model.parameters(), grads):
+                param.grad[...] = grad
+            opt.step()
+            params = _reference_step(kind, params, grads, state, t, 0.05, hp)
+            for param, expected in zip(model.parameters(), params):
+                assert np.array_equal(param.data, expected)
+            # The gradient is read, never written.
+            for param, grad in zip(model.parameters(), grads):
+                assert np.array_equal(param.grad, grad)
+
+    @pytest.mark.parametrize("kind,hp", _PINNED_RULES)
+    def test_windowed_step_matches_formulas(self, kind, hp):
+        rng = np.random.default_rng(8)
+        model = MLPClassifier(6, (5,), 3, seed=0)
+        opt = _make_optimizer(kind, model, 0.05, hp)
+        flat = flatten_parameters(model)
+        cuts = [0, 7, flat.size // 2, flat.size]
+        windows = [flat[lo:hi].copy() for lo, hi in zip(cuts, cuts[1:])]
+        keys = [f"{lo}:{hi}" for lo, hi in zip(cuts, cuts[1:])]
+        state = {}
+        for t in range(1, 5):
+            grads = [rng.standard_normal(w.shape) for w in windows]
+            expected = _reference_step(
+                kind, [w.copy() for w in windows], grads, state, t, 0.05, hp
+            )
+            opt.step_windows(windows, grads, keys)
+            for got, want in zip(windows, expected):
+                assert np.array_equal(got, want)
+
+
+class TestFlatStorage:
+    def _trained(self, rng):
+        model = MLPClassifier(6, (5,), 3, seed=0)
+        out = model.forward(rng.normal(size=(4, 6)))
+        _, grad = SoftmaxCrossEntropyLoss()(out, rng.integers(0, 3, 4))
+        model.zero_grad()
+        model.backward(grad)
+        return model
+
+    def test_bind_keeps_values_and_gradients(self, rng):
+        model = self._trained(rng)
+        values, grads = flatten_parameters(model), flatten_gradients(model)
+        shapes = [p.shape for p in model.parameters()]
+        params_vec, grads_vec = bind_flat_storage(model)
+        assert params_vec.dtype == grads_vec.dtype == np.float64
+        assert np.array_equal(params_vec, values)
+        assert np.array_equal(grads_vec, grads)
+        assert np.array_equal(flatten_parameters(model), values)
+        assert np.array_equal(flatten_gradients(model), grads)
+        assert [p.shape for p in model.parameters()] == shapes
+
+    def test_every_parameter_shares_the_vectors(self, rng):
+        model = self._trained(rng)
+        params_vec, grads_vec = bind_flat_storage(model)
+        for param in model.parameters():
+            assert np.shares_memory(param.data, params_vec)
+            assert np.shares_memory(param.grad, grads_vec)
+        params_vec += 1.0
+        grads_vec[:] = 0.0
+        assert np.array_equal(flatten_parameters(model), params_vec)
+        assert not flatten_gradients(model).any()
+
+    def test_second_bind_is_a_no_op(self, rng):
+        model = self._trained(rng)
+        first = bind_flat_storage(model)
+        arrays = [(p.data, p.grad) for p in model.parameters()]
+        second = bind_flat_storage(model)
+        assert second[0] is first[0] and second[1] is first[1]
+        for param, (data, grad) in zip(model.parameters(), arrays):
+            assert param.data is data and param.grad is grad
+
+    def test_replaced_array_triggers_rebind(self, rng):
+        model = self._trained(rng)
+        first, _ = bind_flat_storage(model)
+        model.parameters()[0].data = model.parameters()[0].data.copy()
+        again, _ = bind_flat_storage(model)
+        assert again is not first
+        assert np.array_equal(again, first)
+
+    def test_tied_parameters_are_refused(self):
+        from repro.nn import Module
+
+        model = Module()
+        model.b = model.add_parameter("a", np.ones(3))
+        with pytest.raises(ValueError, match="two names"):
+            bind_flat_storage(model)
+
+    def test_flat_helpers_agree_on_a_bound_model(self, rng):
+        from repro.training.model_sync import model_hash
+
+        plain = self._trained(np.random.default_rng(5))
+        bound = self._trained(np.random.default_rng(5))
+        bind_flat_storage(bound)
+        assert model_hash(plain) == model_hash(bound)
+        new = rng.normal(size=plain.num_parameters())
+        assign_flat_parameters(plain, new)
+        assign_flat_parameters(bound, new)  # the serving hot-swap path
+        assert model_hash(plain) == model_hash(bound)
+        assert np.array_equal(bind_flat_storage(bound)[0], new)
+
+    def test_optimizer_state_dict_on_a_bound_model(self, rng):
+        plain = self._trained(np.random.default_rng(5))
+        bound = self._trained(np.random.default_rng(5))
+        bind_flat_storage(bound)
+        opt_plain, opt_bound = Adam(plain, 0.01), Adam(bound, 0.01)
+        for _ in range(2):
+            opt_plain.step()
+            opt_bound.step()
+        state = opt_bound.state_dict()
+        reference = opt_plain.state_dict()
+        assert state["param_state"].keys() == reference["param_state"].keys()
+        for name, slots in reference["param_state"].items():
+            for slot, arr in slots.items():
+                assert np.array_equal(state["param_state"][name][slot], arr)
+        restored = Adam(bound, 0.01)
+        restored.load_state_dict(state)
+        restored.step()
+        opt_plain.step()
+        assert np.array_equal(flatten_parameters(plain), flatten_parameters(bound))
 
 
 class TestModels:

@@ -10,13 +10,19 @@ Covers the sharded-exchange subsystem end to end:
   over every registered transport at power-of-two and prime world sizes;
 * the headline parity property: training with ``sharding="zero1"`` is
   **bitwise identical** to the dense ring exchange + replicated optimizer
-  (same seeds, fp64), while per-rank optimizer state shrinks ~P-fold.
+  (same seeds, fp64), while per-rank optimizer state shrinks ~P-fold;
+* the zero-copy step: fusion buckets are slices of the model's flat
+  storage, so one exchange allocates nothing model-sized.
 """
+
+import tracemalloc
+
 
 import numpy as np
 import pytest
 
 import repro.nn as nn
+import repro.training.exchange as exchange_mod
 from repro.collectives.sharding import (
     ALLGATHER_FOR_REDUCE_SCATTER,
     allgather_flat,
@@ -28,7 +34,12 @@ from repro.collectives.topology import HostTopology
 from repro.comm import available_backends, backend_unavailable_reason, launch
 from repro.compression import get_codec
 from repro.nn.optim import SGD, Adam, MomentumSGD
-from repro.nn.parameters import assign_flat_gradients, flatten_parameters
+from repro.nn.parameters import (
+    assign_flat_gradients,
+    assign_flat_parameters,
+    bind_flat_storage,
+    flatten_parameters,
+)
 from repro.training.bucketing import GradientBucketer
 from repro.training.exchange import ShardedExchange, build_exchange
 
@@ -506,11 +517,122 @@ class TestShardedExchange:
         assert not ex.updates_parameters
 
 
+def _resume_worker(comm, opt_name, steps, resume_at):
+    """zero1 for ``resume_at`` steps, checkpoint, restore into fresh objects, go on."""
+    make_opt = {
+        "momentum": lambda m: MomentumSGD(m, 0.05, momentum=0.9, nesterov=True),
+        "adam": lambda m: Adam(m, 0.01),
+    }[opt_name]
+    model = _make_model(seed=9)
+    opt = make_opt(model)
+    n = flatten_parameters(model).size
+    ex = build_exchange(comm, n, "sync", algorithm="ring", sharding="zero1",
+                        fusion_buckets=2)
+    rng = np.random.default_rng(1000 + comm.rank)
+    for step in range(steps):
+        if step == resume_at:
+            checkpoint = (flatten_parameters(model).copy(), opt.state_dict())
+            model = _make_model(seed=10)  # different init: restore must win
+            bind_flat_storage(model)  # restore into an already bound model
+            assign_flat_parameters(model, checkpoint[0])
+            opt = make_opt(model)
+            opt.load_state_dict(checkpoint[1])
+            ex = build_exchange(comm, n, "sync", algorithm="ring",
+                                sharding="zero1", fusion_buckets=2)
+        ex.exchange_update(rng.standard_normal(n), model, opt)
+    return flatten_parameters(model).copy()
+
+
+def _allocation_worker(comm):
+    """Traced allocation peak of one warm ``exchange_update`` (rank 0 reports)."""
+    model = nn.Sequential(nn.Dense(500, 256, seed=1), nn.Dense(256, 10, seed=2))
+    opt = Adam(model, 0.01)
+    n = flatten_parameters(model).size
+    # 32 KB buckets keep the thread transport's per-message payload copies
+    # (one half-bucket per hop at P = 2) far below the bound.
+    ex = ShardedExchange(comm, algorithm="ring", fusion_threshold_bytes=32 * 1024)
+    grad = np.random.default_rng(comm.rank).standard_normal(n)
+    for _ in range(2):
+        ex.exchange_update(grad, model, opt)
+    comm.barrier()
+    if comm.rank == 0:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+    comm.barrier()
+    ex.exchange_update(grad, model, opt)
+    comm.barrier()
+    if comm.rank == 0:
+        return tracemalloc.get_traced_memory()[1] - before, n * 8
+    return None
+
+
+class TestZeroCopyStep:
+    def test_exchange_allocates_nothing_model_sized(self):
+        tracemalloc.start()
+        try:
+            outputs = launch(_allocation_worker, 2, backend="thread")
+        finally:
+            tracemalloc.stop()
+        peak, model_bytes = outputs[0]
+        assert model_bytes >= 100_000 * 8
+        assert peak < 0.1 * model_bytes, (
+            f"one exchange_update peaked at {peak} traced bytes, "
+            f">= 10% of the {model_bytes}-byte model"
+        )
+
+    def test_buckets_are_views_of_model_storage(self):
+        def worker(comm):
+            model = _make_model(seed=9)
+            opt = SGD(model, 0.05)
+            n = flatten_parameters(model).size
+            ex = build_exchange(comm, n, "sync", algorithm="ring",
+                                sharding="zero1", fusion_buckets=2)
+            _, grads = bind_flat_storage(model)
+            grads[:] = np.random.default_rng(comm.rank).standard_normal(n)
+            before = [p.data for p in model.parameters()]
+            ex.exchange_update(grads, model, opt)
+            # Updated in place: the model's arrays are still the bound views.
+            assert all(p.data is d for p, d in zip(model.parameters(), before))
+            return flatten_parameters(model)
+
+        outputs = launch(worker, 2, backend="thread")
+        assert np.array_equal(outputs[0], outputs[1])
+
+    @pytest.mark.parametrize("opt_name", ["momentum", "adam"])
+    def test_resumed_zero1_bitwise_matches_dense(self, opt_name):
+        dense = launch(
+            _exchange_worker, 3, "none", "ring", opt_name, 6, 2, backend="thread"
+        )
+        resumed = launch(_resume_worker, 3, opt_name, 6, 3, backend="thread")
+        for (dp, *_), zp in zip(dense, resumed):
+            assert np.array_equal(dp, zp)
+
+    def test_reduce_scatter_copy_fails_loudly(self, monkeypatch):
+        real = exchange_mod.reduce_scatter
+
+        def copying_reduce_scatter(comm, data, **kwargs):
+            kwargs["copy"] = True
+            return real(comm, data, **kwargs)
+
+        monkeypatch.setattr(exchange_mod, "reduce_scatter", copying_reduce_scatter)
+
+        def worker(comm):
+            model = _make_model(seed=9)
+            ex = ShardedExchange(comm)
+            with pytest.raises(RuntimeError, match="in place"):
+                ex.exchange_update(
+                    np.ones(flatten_parameters(model).size), model, SGD(model, 0.1)
+                )
+            return True
+
+        assert all(launch(worker, 2, backend="thread"))
+
+
 # ---------------------------------------------------------------------------
 # training-level parity (runner + config)
 # ---------------------------------------------------------------------------
 class TestTrainingParity:
-    def _run(self, sharding, algorithm):
+    def _run(self, sharding, algorithm, gradient_clip=None):
         from repro.data import cifar10_like
         from repro.nn.losses import SoftmaxCrossEntropyLoss
         from repro.nn.models import MLPClassifier
@@ -530,6 +652,7 @@ class TestTrainingParity:
             optimizer="momentum",
             seed=0,
             model_sync_period_epochs=None,
+            gradient_clip=gradient_clip,
         )
         return train_distributed(
             lambda: MLPClassifier(3 * 4 * 4, (16,), 10, seed=11),
@@ -545,6 +668,16 @@ class TestTrainingParity:
         zero1_hashes = {s.final_model_hash for s in zero1.rank_summaries}
         assert len(dense_hashes) == len(zero1_hashes) == 1
         assert dense_hashes == zero1_hashes
+
+    def test_zero1_clipped_training_bitwise_matches_dense(self):
+        """Clipping scales the bound gradient storage in place, bit for bit."""
+        dense = self._run("none", "ring", gradient_clip=0.05)
+        zero1 = self._run("zero1", "ring", gradient_clip=0.05)
+        unclipped = self._run("zero1", "ring")
+        hashes = {s.final_model_hash for s in dense.rank_summaries}
+        assert len(hashes) == 1
+        assert hashes == {s.final_model_hash for s in zero1.rank_summaries}
+        assert hashes != {s.final_model_hash for s in unclipped.rank_summaries}
 
     def test_config_validation(self):
         from repro.training import TrainingConfig
